@@ -1,34 +1,27 @@
-//! Benchmark: committed-block execution — serial vs static-parallel vs
-//! optimistic.
+//! Benchmark: committed-block execution — serial vs static-parallel.
 //!
 //! Measures [`ExecutionEngine::execute_block`] over whole committed
-//! blocks under every [`Concurrency`] mode at 2, 4 and 8 worker
-//! threads. Four block shapes bracket the two schedulers (the execution
-//! model, including when each mode wins, is specified in
+//! blocks serially and on the static parallel scheduler at 2, 4 and 8
+//! worker threads. Four block shapes bracket the scheduler (the
+//! execution model, including when it wins, is specified in
 //! `docs/EXECUTION.md`):
 //!
 //! - a 10k-transaction Exchange block: the workload rotates five stocks,
 //!   so static read/write-set analysis decomposes the block into five
-//!   independent components — the static scheduler's best case, and a
-//!   check of what optimistic speculation costs on conflict-light
-//!   traffic it commits in one round;
+//!   independent components — the static scheduler's best case;
 //! - a Gaming block spread over 64 players: every `update` has a
 //!   *dynamic* footprint, so the static executor is forced into its
-//!   ordered serial fallback while the optimistic executor can speculate
-//!   the independent per-player chains concurrently — the case this
-//!   executor exists for (speedup is bounded by min(threads, cores);
-//!   a single-core runner records pure protocol overhead instead);
+//!   ordered serial fallback — this bounds the cost of planning a block
+//!   it then cannot parallelize;
 //! - a hot Gaming block (every transaction updates player 1): a single
-//!   fully-dependent chain no scheduler can speed up — this bounds the
-//!   optimistic protocol's worst-case re-execution overhead over plain
-//!   serial execution;
-//! - a Mobility block on the MoveVM: dynamic read-only probes that all
-//!   trip the flavor's hard compute budget — dynamic footprints without
-//!   conflicts, where speculation commits everything in one round.
+//!   fully-dependent chain no scheduler can speed up;
+//! - a Mobility block on the MoveVM: read-only probes that all trip the
+//!   flavor's hard compute budget — compute-heavy, conflict-free
+//!   transactions the scheduler spreads across workers.
 //!
 //! Every timed sample re-runs the block from a freshly deployed contract
 //! and asserts the costs are bit-identical to a serial reference run, so
-//! the ci.sh smoke pass doubles as a wiring check for both executors.
+//! the ci.sh smoke pass doubles as a wiring check for the executor.
 
 use diablo_testkit::bench::{black_box, Bench};
 
@@ -44,15 +37,12 @@ fn engine(flavor: VmFlavor, dapp: DApp, concurrency: Concurrency) -> ExecutionEn
         .with_concurrency(concurrency)
 }
 
-/// The serial / static / optimistic arms every block shape runs.
-const CONFIGS: [(&str, Concurrency); 7] = [
+/// The serial / static-parallel arms every block shape runs.
+const CONFIGS: [(&str, Concurrency); 4] = [
     ("serial", Concurrency::Serial),
     ("parallel2", Concurrency::Parallel(2)),
     ("parallel4", Concurrency::Parallel(4)),
     ("parallel8", Concurrency::Parallel(8)),
-    ("optimistic2", Concurrency::Optimistic(2)),
-    ("optimistic4", Concurrency::Optimistic(4)),
-    ("optimistic8", Concurrency::Optimistic(8)),
 ];
 
 /// Benchmarks one block shape under every concurrency arm, checking
@@ -105,18 +95,17 @@ fn main() {
         .collect();
     bench_block(&mut b, "exchange_10000tx", VmFlavor::Geth, DApp::Exchange, &exchange);
 
-    // Dynamic footprints, conflict-light: the static planner bails out,
-    // the optimistic executor parallelizes the 64 per-player chains.
+    // Dynamic footprints, conflict-light: the static planner bails out
+    // to its ordered serial fallback.
     let spread = gaming_updates(2_000, |seq| 1 + (seq % 64) as i32);
     bench_block(&mut b, "gaming_spread_2000tx", VmFlavor::Geth, DApp::Gaming, &spread);
 
-    // Dynamic footprints, fully dependent: one hot player. Bounds the
-    // optimistic worst case (speculate, abort, serial valve).
+    // Dynamic footprints, fully dependent: one hot player.
     let hot = gaming_updates(2_000, |_| 1);
     bench_block(&mut b, "gaming_hot_2000tx", VmFlavor::Geth, DApp::Gaming, &hot);
 
-    // Dynamic read-only probes against a hard compute budget: no
-    // conflicts, so speculation commits the whole block in one round.
+    // Read-only probes against a hard compute budget: heavy
+    // per-transaction compute and no write conflicts.
     let mobility: Vec<Payload> = (0..512)
         .map(|seq| Payload::Invoke {
             dapp: DApp::Mobility,

@@ -3,9 +3,10 @@
 //! Runs the Exchange DApp on RedBelly (unbounded mempool, no
 //! superlinear pool scan — the chain that keeps a million-transaction
 //! backlog alive instead of dropping it) across three geo-spread node
-//! counts, once per event-queue backend. The wheel-vs-heap pairs
-//! measure the simulation kernel itself: identical chains, identical
-//! plans, only the `EventQueue` implementation differs.
+//! counts. Each node count has an end-to-end arm (`e2e_heap`) and a
+//! kernel arm (`kernel_heap`) that drains the event queue alone; the
+//! `_heap` suffix names the queue so the arms keep matching their
+//! checked-in baseline entries.
 //!
 //! Two shapes:
 //!
@@ -27,7 +28,7 @@ use diablo_testkit::bench::{black_box, Bench};
 use diablo_chains::{Chain, ChainParams, Experiment};
 use diablo_contracts::DApp;
 use diablo_net::{DeploymentConfig, DeploymentKind, InstanceType};
-use diablo_sim::{EventQueue, QueueBackend, SimTime};
+use diablo_sim::{EventQueue, SimTime};
 use diablo_workloads::traces;
 
 #[derive(Clone, Copy)]
@@ -56,17 +57,16 @@ const NODE_COUNTS: [usize; 3] = [10, 50, 200];
 
 /// One event per planned transaction (the shape's constant-rate arrival
 /// times) plus a self-rescheduling block event per superblock period,
-/// drained through one `EventQueue` backend. The e2e arms measure the
-/// whole chain — mempool, arena, execution — where the queue holds only
-/// tick and block events; this arm is the kernel measurement the
-/// wheel-vs-heap comparison is about, with the full transaction count
-/// pending at once.
-fn kernel_drain(backend: QueueBackend, shape: &Shape, block_period_us: u64) -> u64 {
+/// drained through the `EventQueue`. The e2e arms measure the whole
+/// chain — mempool, arena, execution — where the queue holds only tick
+/// and block events; this arm is the kernel alone, with the full
+/// transaction count pending at once.
+fn kernel_drain(shape: &Shape, block_period_us: u64) -> u64 {
     let n = (shape.tps as u64) * shape.secs;
     let gap_us = 1_000_000.0 / shape.tps;
     let end_us = shape.secs * 1_000_000;
     // false = transaction arrival, true = block production.
-    let mut q: EventQueue<bool> = EventQueue::with_backend_and_capacity(backend, n as usize + 1);
+    let mut q: EventQueue<bool> = EventQueue::with_capacity(n as usize + 1);
     for i in 0..n {
         q.schedule(SimTime::from_micros((i as f64 * gap_us) as u64), false);
     }
@@ -100,33 +100,26 @@ fn main() {
             }
             _ => 1_000_000,
         };
-        for (backend, backend_name) in
-            [(QueueBackend::Wheel, "wheel"), (QueueBackend::Heap, "heap")]
-        {
-            let name = format!("scale/{}/{}n/e2e_{}", shape.label, nodes, backend_name);
-            let config = config.clone();
-            let params = params.clone();
-            b.bench_items(&name, items, move || {
-                black_box(
-                    Experiment::new(
-                        Chain::RedBelly,
-                        DeploymentKind::Consortium,
-                        traces::constant(shape.tps, shape.secs),
-                    )
-                    .with_config(config.clone())
-                    .with_params(params.clone())
-                    .with_dapp(DApp::Exchange)
-                    .with_queue_backend(backend)
-                    .run()
-                    .committed(),
+        let name = format!("scale/{}/{}n/e2e_heap", shape.label, nodes);
+        b.bench_items(&name, items, move || {
+            black_box(
+                Experiment::new(
+                    Chain::RedBelly,
+                    DeploymentKind::Consortium,
+                    traces::constant(shape.tps, shape.secs),
                 )
-            });
+                .with_config(config.clone())
+                .with_params(params.clone())
+                .with_dapp(DApp::Exchange)
+                .run()
+                .committed(),
+            )
+        });
 
-            let name = format!("scale/{}/{}n/kernel_{}", shape.label, nodes, backend_name);
-            b.bench_items(&name, items, move || {
-                black_box(kernel_drain(backend, &shape, block_period_us))
-            });
-        }
+        let name = format!("scale/{}/{}n/kernel_heap", shape.label, nodes);
+        b.bench_items(&name, items, move || {
+            black_box(kernel_drain(&shape, block_period_us))
+        });
     }
 
     b.finish();

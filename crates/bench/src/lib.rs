@@ -42,28 +42,10 @@ pub fn thread_knob() -> usize {
         .unwrap_or(1)
 }
 
-/// Whether the optimistic executor was requested: `--optimistic` on the
-/// command line or `DIABLO_OPTIMISTIC=1` in the environment.
-pub fn optimistic_knob() -> bool {
-    if std::env::args().skip(1).any(|a| a == "--optimistic") {
-        return true;
-    }
-    matches!(
-        std::env::var("DIABLO_OPTIMISTIC"),
-        Ok(v) if v == "1" || v.eq_ignore_ascii_case("true")
-    )
-}
-
-/// The block-commit concurrency [`thread_knob`] and [`optimistic_knob`]
-/// resolve to: 0 or 1 worker means serial execution, anything larger
-/// enables the deterministic static parallel executor with that many
-/// workers — or the optimistic (Block-STM-style) executor when
-/// requested, which also accepts a single worker (the protocol is
-/// worker-count independent).
+/// The block-commit concurrency [`thread_knob`] resolves to: 0 or 1
+/// worker means serial execution, anything larger enables the
+/// deterministic static parallel executor with that many workers.
 pub fn concurrency() -> Concurrency {
-    if optimistic_knob() {
-        return Concurrency::Optimistic(thread_knob().max(1));
-    }
     match thread_knob() {
         0 | 1 => Concurrency::Serial,
         n => Concurrency::Parallel(n),

@@ -19,7 +19,6 @@ use std::collections::HashMap;
 use diablo_contracts::{build, calls, Contract, DApp, Unsupported};
 use diablo_vm::{ExecError, Interpreter, Receipt, TxContext, VmFlavor};
 
-use crate::optimistic::OptimisticExecutor;
 use crate::parallel::ParallelExecutor;
 use crate::tx::{CallSel, Payload};
 
@@ -37,11 +36,10 @@ pub enum ExecMode {
 
 /// Block-commit concurrency, orthogonal to [`ExecMode`]: how many
 /// worker threads [`ExecutionEngine::execute_block`] may use and which
-/// scheduler drives them. Both parallel modes are bit-identical to
-/// serial by construction (see [`crate::parallel`] and
-/// [`crate::optimistic`], and `docs/EXECUTION.md` for the model);
-/// `Profiled` refresh executions always take the serial path regardless
-/// of this setting.
+/// scheduler drives them. The parallel mode is bit-identical to serial
+/// by construction (see [`crate::parallel`], and `docs/EXECUTION.md`
+/// for the model); `Profiled` refresh executions always take the serial
+/// path regardless of this setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Concurrency {
     /// One transaction at a time, in canonical order.
@@ -51,12 +49,6 @@ pub enum Concurrency {
     /// many scoped worker threads per committed block. Transactions
     /// with dynamic footprints fall back to serial.
     Parallel(usize),
-    /// Optimistic (Block-STM-style) speculation with commit-order
-    /// read-set validation, up to this many worker threads. Handles
-    /// dynamic footprints; results and telemetry are identical at any
-    /// thread count (a count of 1 still runs the full speculate /
-    /// validate protocol, just on one worker).
-    Optimistic(usize),
 }
 
 impl Concurrency {
@@ -64,30 +56,32 @@ impl Concurrency {
     pub fn threads(self) -> usize {
         match self {
             Concurrency::Serial => 1,
-            Concurrency::Parallel(n) | Concurrency::Optimistic(n) => n.max(1),
+            Concurrency::Parallel(n) => n.max(1),
         }
     }
 
-    /// Stable numeric code of the mode (serial 0, static-parallel 1,
-    /// optimistic 2) — the tracer's `executed` annotation. Worker
-    /// counts are deliberately excluded: they never change results.
+    /// Stable numeric code of the mode (serial 0, static-parallel 1) —
+    /// the tracer's `executed` annotation. Worker counts are
+    /// deliberately excluded: they never change results.
     pub fn code(self) -> u64 {
         match self {
             Concurrency::Serial => 0,
             Concurrency::Parallel(_) => 1,
-            Concurrency::Optimistic(_) => 2,
         }
     }
 
-    /// Parses a mode name (`serial`, `parallel`, `optimistic`) plus a
-    /// worker count into a concurrency setting — the shared grammar of
-    /// the CLI's `--execution=`/`--threads=`/`--optimistic` flags and
-    /// the spec's `execution:` section.
+    /// The mode names [`Concurrency::from_mode`] accepts, as error
+    /// messages and usage text list them.
+    pub const MODES: &'static str = "serial | parallel";
+
+    /// Parses a mode name (`serial`, `parallel`) plus a worker count
+    /// into a concurrency setting — the shared grammar of the CLI's
+    /// `--execution=`/`--threads=` flags and the spec's `execution:`
+    /// section.
     pub fn from_mode(mode: &str, threads: usize) -> Option<Concurrency> {
         match mode {
             "serial" => Some(Concurrency::Serial),
             "parallel" | "static" => Some(Concurrency::Parallel(threads)),
-            "optimistic" => Some(Concurrency::Optimistic(threads)),
             _ => None,
         }
     }
@@ -97,7 +91,6 @@ impl Concurrency {
         match self {
             Concurrency::Serial => "serial",
             Concurrency::Parallel(_) => "parallel",
-            Concurrency::Optimistic(_) => "optimistic",
         }
     }
 }
@@ -146,10 +139,6 @@ pub struct ExecutionEngine {
     concurrency: Concurrency,
     /// The deployed contract for the experiment's DApp (if any).
     contract: Option<Contract>,
-    /// Per-transaction execution counts of the last committed block
-    /// (speculations + re-executions under the optimistic executor, 1
-    /// everywhere else) — the tracer's `executed` annotation.
-    last_exec_counts: Vec<u32>,
     /// Profiled-mode cache: (entry, arg class) → (cost, replays since
     /// refresh).
     cache: HashMap<(&'static str, ArgClass), (ExecCost, u64)>,
@@ -175,7 +164,6 @@ impl ExecutionEngine {
             mode,
             concurrency: Concurrency::Serial,
             contract: None,
-            last_exec_counts: Vec::new(),
             cache: HashMap::new(),
         }
     }
@@ -191,7 +179,6 @@ impl ExecutionEngine {
             mode,
             concurrency: Concurrency::Serial,
             contract: Some(contract),
-            last_exec_counts: Vec::new(),
             cache: HashMap::new(),
         })
     }
@@ -205,14 +192,6 @@ impl ExecutionEngine {
     /// The configured block-commit concurrency.
     pub fn concurrency(&self) -> Concurrency {
         self.concurrency
-    }
-
-    /// How many times each transaction of the last
-    /// [`ExecutionEngine::execute_block`] batch ran: always 1 on the
-    /// serial and statically-scheduled paths, the speculation count
-    /// under the optimistic executor. Empty before the first block.
-    pub fn last_exec_counts(&self) -> &[u32] {
-        &self.last_exec_counts
     }
 
     /// The engine's VM flavor.
@@ -317,31 +296,19 @@ impl ExecutionEngine {
     /// Executes one committed batch, returning per-transaction costs in
     /// canonical order.
     ///
-    /// With [`ExecMode::Exact`] and a parallel [`Concurrency`], invokes
-    /// go through a block executor: [`Concurrency::Parallel`] schedules
-    /// across a [`ParallelExecutor`] using the contract's static
-    /// read/write sets, [`Concurrency::Optimistic`] speculates through
-    /// an [`OptimisticExecutor`] with commit-order read-set validation.
-    /// Both are bit-identical to the serial loop (same costs, same
-    /// final state), just faster — on conflict-light blocks for the
-    /// static scheduler, additionally on dynamic-footprint blocks for
-    /// the optimistic one. Everything else (serial config, profiled
+    /// With [`ExecMode::Exact`] and [`Concurrency::Parallel`] at two or
+    /// more threads, invokes are scheduled across a [`ParallelExecutor`]
+    /// using the contract's static read/write sets. It is bit-identical
+    /// to the serial loop (same costs, same final state), just faster on
+    /// conflict-light blocks. Everything else (serial config, profiled
     /// mode, native workloads, single-transaction blocks) takes the
     /// plain serial loop.
     pub fn execute_block(&mut self, payloads: &[Payload]) -> Vec<ExecCost> {
         let threads = self.concurrency.threads();
         diablo_telemetry::record!("exec.block.txs", payloads.len() as u64);
-        // Every path below runs each transaction exactly once, except
-        // the optimistic executor, which overwrites its slots with the
-        // real speculation counts.
-        self.last_exec_counts = vec![1; payloads.len()];
         let plannable =
             self.mode == ExecMode::Exact && payloads.len() >= 2 && self.contract.is_some();
-        // The optimistic protocol itself is worker-count independent, so
-        // it runs even at 1 thread: Optimistic(1) must produce the same
-        // telemetry (rounds, aborts) as Optimistic(8).
-        let optimistic = matches!(self.concurrency, Concurrency::Optimistic(_));
-        let use_executor = plannable && (optimistic || threads >= 2);
+        let use_executor = plannable && threads >= 2;
         // Conflict-plan telemetry is a pure function of the block, never
         // of the worker count: serial runs must resolve and plan the
         // same blocks a parallel run would, or their snapshots diverge.
@@ -402,27 +369,13 @@ impl ExecutionEngine {
         // that produced it, so event payloads never outlive their
         // transaction.
         let map = |k: usize, result| cost_of(result, intrinsics[k]);
-        let results = if optimistic {
-            let (results, execs) = OptimisticExecutor::new(threads).execute_counting(
-                &vm,
-                &contract.prepared,
-                &mut contract.initial_state,
-                &txs,
-                map,
-            );
-            for (&slot, count) in slots.iter().zip(execs) {
-                self.last_exec_counts[slot] = count;
-            }
-            results
-        } else {
-            ParallelExecutor::new(threads).execute(
-                &vm,
-                &contract.prepared,
-                &mut contract.initial_state,
-                &txs,
-                map,
-            )
-        };
+        let results = ParallelExecutor::new(threads).execute(
+            &vm,
+            &contract.prepared,
+            &mut contract.initial_state,
+            &txs,
+            map,
+        );
         for (slot, cost) in slots.into_iter().zip(results) {
             costs[slot] = cost;
         }
@@ -620,7 +573,11 @@ mod tests {
 
     #[test]
     fn parallel_block_execution_matches_serial() {
-        let payloads: Vec<Payload> = (0..200)
+        // Exchange decomposes into static components; Gaming's dynamic
+        // per-player footprints are the case the static scheduler
+        // serializes. Both must agree with serial bit for bit — costs
+        // and state — at every thread count, transfers interleaved.
+        let exchange: Vec<Payload> = (0..200)
             .map(|seq| {
                 if seq % 9 == 0 {
                     Payload::Transfer
@@ -633,31 +590,7 @@ mod tests {
                 }
             })
             .collect();
-        let mut serial =
-            ExecutionEngine::with_dapp(VmFlavor::Geth, ExecMode::Exact, DApp::Exchange).unwrap();
-        let want = serial.execute_block(&payloads);
-        for threads in [2, 4, 8] {
-            let mut par =
-                ExecutionEngine::with_dapp(VmFlavor::Geth, ExecMode::Exact, DApp::Exchange)
-                    .unwrap()
-                    .with_concurrency(Concurrency::Parallel(threads));
-            let got = par.execute_block(&payloads);
-            assert_eq!(want, got, "{threads} threads");
-            assert_eq!(
-                serial.contract().unwrap().initial_state,
-                par.contract().unwrap().initial_state,
-                "{threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn optimistic_block_execution_matches_serial() {
-        // Gaming's dynamic per-player footprints are the case the
-        // static scheduler serializes; the optimistic engine must still
-        // agree with serial bit for bit — costs and state — at every
-        // thread count, transfers interleaved.
-        let payloads: Vec<Payload> = (0..150)
+        let gaming: Vec<Payload> = (0..150)
             .map(|seq| {
                 if seq % 11 == 0 {
                     Payload::Transfer
@@ -674,21 +607,22 @@ mod tests {
                 }
             })
             .collect();
-        let mut serial =
-            ExecutionEngine::with_dapp(VmFlavor::Geth, ExecMode::Exact, DApp::Gaming).unwrap();
-        let want = serial.execute_block(&payloads);
-        for threads in [1, 2, 4, 8] {
-            let mut opt =
-                ExecutionEngine::with_dapp(VmFlavor::Geth, ExecMode::Exact, DApp::Gaming)
+        for (dapp, payloads) in [(DApp::Exchange, exchange), (DApp::Gaming, gaming)] {
+            let mut serial =
+                ExecutionEngine::with_dapp(VmFlavor::Geth, ExecMode::Exact, dapp).unwrap();
+            let want = serial.execute_block(&payloads);
+            for threads in [1, 2, 4, 8] {
+                let mut par = ExecutionEngine::with_dapp(VmFlavor::Geth, ExecMode::Exact, dapp)
                     .unwrap()
-                    .with_concurrency(Concurrency::Optimistic(threads));
-            let got = opt.execute_block(&payloads);
-            assert_eq!(want, got, "{threads} threads");
-            assert_eq!(
-                serial.contract().unwrap().initial_state,
-                opt.contract().unwrap().initial_state,
-                "{threads} threads"
-            );
+                    .with_concurrency(Concurrency::Parallel(threads));
+                let got = par.execute_block(&payloads);
+                assert_eq!(want, got, "{dapp:?} at {threads} threads");
+                assert_eq!(
+                    serial.contract().unwrap().initial_state,
+                    par.contract().unwrap().initial_state,
+                    "{dapp:?} at {threads} threads"
+                );
+            }
         }
     }
 
@@ -699,16 +633,9 @@ mod tests {
             Concurrency::from_mode("parallel", 4),
             Some(Concurrency::Parallel(4))
         );
-        assert_eq!(
-            Concurrency::from_mode("optimistic", 8),
-            Some(Concurrency::Optimistic(8))
-        );
+        assert_eq!(Concurrency::from_mode("optimistic", 8), None);
         assert_eq!(Concurrency::from_mode("speculative", 4), None);
-        for c in [
-            Concurrency::Serial,
-            Concurrency::Parallel(4),
-            Concurrency::Optimistic(8),
-        ] {
+        for c in [Concurrency::Serial, Concurrency::Parallel(4)] {
             assert_eq!(Concurrency::from_mode(c.mode_name(), c.threads()), Some(c));
         }
     }

@@ -137,7 +137,7 @@ impl ChainHarness {
         .with_faults(self.options.faults.clone())
         .with_store(self.options.storage)
         .with_live_pool(live.map(|cfg| crate::live::LivePool::new(cfg.workers, cfg.time_scale)));
-        let mut sim = Simulation::with_backend(world, self.options.queue);
+        let mut sim = Simulation::new(world);
         let ticks = sim.world().tick_count();
         for k in 0..ticks {
             sim.schedule(SimTime::from_millis(k as u64 * TICK_MS), Ev::Tick(k as u32));

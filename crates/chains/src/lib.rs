@@ -38,7 +38,6 @@ pub mod fees;
 pub mod harness;
 pub mod live;
 pub mod mempool;
-pub mod optimistic;
 pub mod parallel;
 pub mod params;
 pub mod records;
@@ -48,14 +47,12 @@ pub mod tx;
 pub use chain::Chain;
 pub use config::{LiveConfig, RunConfig, RunOverlay};
 pub use exec::{Concurrency, ExecMode, ExecutionEngine};
-pub use optimistic::{OptimisticExecutor, OptimisticStats};
 pub use parallel::{plan_stats, ParallelExecutor, PlanStats};
 pub use faults::{FaultPlan, FaultPlanBuilder, FaultTimeline, RetryPolicy};
 pub use fees::FeeMarket;
 pub use harness::{ChainHarness, HarnessOptions, PlannedTx};
 pub use live::LivePool;
 pub use mempool::{AdmitError, Mempool, MempoolPolicy};
-pub use diablo_sim::QueueBackend;
 pub use diablo_store::{PruneMode, StorageConfig, StorageReport};
 pub use params::{ChainParams, ConsensusKind, SigVerify};
 pub use records::{rate_per_sec, RunResult, TxRecord, TxStatus};

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 
 use diablo_contracts::{calls, DApp};
 use diablo_net::{DeploymentConfig, DeploymentKind, QuorumModel};
-use diablo_sim::{DetRng, QueueBackend, Scheduler, SimDuration, SimTime, World};
+use diablo_sim::{DetRng, Scheduler, SimDuration, SimTime, World};
 use diablo_store::{BlockRoots, ReceiptRec, StateStore, StorageConfig, StorageReport};
 use diablo_telemetry::trace::{self, TraceStage};
 use diablo_workloads::Workload;
@@ -144,13 +144,6 @@ impl Experiment {
     /// Overrides the signature-verification cost curve (ablations).
     pub fn with_sig_verify(mut self, sig_verify: SigVerify) -> Self {
         self.run.sig_verify = Some(sig_verify);
-        self
-    }
-
-    /// Runs the simulation kernel on an explicit event-queue backend
-    /// (wheel-vs-heap differential runs and benches).
-    pub fn with_queue_backend(mut self, queue: QueueBackend) -> Self {
-        self.run.queue = queue;
         self
     }
 
@@ -1190,15 +1183,14 @@ impl ChainSim {
             let payloads: Vec<Payload> = batch.iter().map(|&id| self.pool.meta(id).payload).collect();
             let costs = self.engine.execute_block(&payloads);
             if trace::active() {
-                // The mode code and per-transaction execution counts are
-                // the executor-dependent annotations: they live in the
-                // trace set (and on the wire) but never in the Chrome
-                // export, which must stay byte-identical across modes.
+                // The mode code is the executor-dependent annotation: it
+                // lives in the trace set (and on the wire) but never in
+                // the Chrome export, which must stay byte-identical
+                // across modes.
                 let mode = self.engine.concurrency().code();
-                let counts = self.engine.last_exec_counts();
-                for (&id, &count) in batch.iter().zip(counts) {
+                for &id in &batch {
                     let tid = self.pool.meta(id).id as u64;
-                    trace::emit(tid, TraceStage::Executed, committed.as_micros(), mode, count as u64);
+                    trace::emit(tid, TraceStage::Executed, committed.as_micros(), mode, 0);
                 }
             }
             if self.store.is_some() {
@@ -1423,57 +1415,33 @@ mod tests {
     fn parallel_concurrency_reproduces_serial_runs() {
         // End to end: the same seeded experiment must produce identical
         // per-transaction records whether committed blocks execute
-        // serially or across 4 workers.
-        let run = |concurrency| {
+        // serially or across workers — on Exchange, which the static
+        // scheduler splits into components, and on Gaming, whose
+        // dynamic footprints send it down its ordered serial fallback.
+        let run = |dapp, concurrency| {
             Experiment::new(
                 Chain::Quorum,
                 DeploymentKind::Testnet,
                 traces::constant(80.0, 10),
             )
-            .with_dapp(DApp::Exchange)
+            .with_dapp(dapp)
             .with_exec_mode(ExecMode::Exact)
             .with_concurrency(concurrency)
             .with_grace(30)
             .run()
         };
-        let serial = run(Concurrency::Serial);
-        let parallel = run(Concurrency::Parallel(4));
-        assert_eq!(serial.records.len(), parallel.records.len());
-        for (s, p) in serial.records.iter().zip(&parallel.records) {
-            assert_eq!(s.submitted, p.submitted);
-            assert_eq!(s.decided, p.decided);
-            assert_eq!(s.status, p.status);
-        }
-        assert_eq!(serial.blocks, parallel.blocks);
-    }
-
-    #[test]
-    fn optimistic_concurrency_reproduces_serial_runs() {
-        // Same end-to-end check for the optimistic executor, on the
-        // gaming DApp whose dynamic footprints the static scheduler
-        // cannot parallelize — here speculation really does the work.
-        let run = |concurrency| {
-            Experiment::new(
-                Chain::Quorum,
-                DeploymentKind::Testnet,
-                traces::constant(80.0, 10),
-            )
-            .with_dapp(DApp::Gaming)
-            .with_exec_mode(ExecMode::Exact)
-            .with_concurrency(concurrency)
-            .with_grace(30)
-            .run()
-        };
-        let serial = run(Concurrency::Serial);
-        for concurrency in [Concurrency::Optimistic(1), Concurrency::Optimistic(4)] {
-            let optimistic = run(concurrency);
-            assert_eq!(serial.records.len(), optimistic.records.len());
-            for (s, o) in serial.records.iter().zip(&optimistic.records) {
-                assert_eq!(s.submitted, o.submitted);
-                assert_eq!(s.decided, o.decided);
-                assert_eq!(s.status, o.status);
+        for dapp in [DApp::Exchange, DApp::Gaming] {
+            let serial = run(dapp, Concurrency::Serial);
+            for concurrency in [Concurrency::Parallel(1), Concurrency::Parallel(4)] {
+                let parallel = run(dapp, concurrency);
+                assert_eq!(serial.records.len(), parallel.records.len());
+                for (s, p) in serial.records.iter().zip(&parallel.records) {
+                    assert_eq!(s.submitted, p.submitted);
+                    assert_eq!(s.decided, p.decided);
+                    assert_eq!(s.status, p.status);
+                }
+                assert_eq!(serial.blocks, parallel.blocks, "{dapp:?} {concurrency:?}");
             }
-            assert_eq!(serial.blocks, optimistic.blocks);
         }
     }
 }

@@ -13,6 +13,12 @@
 //! chains across multiple committed blocks, exercising segment merges
 //! against an evolving base.
 //!
+//! Two focused properties follow: Zipfian hot-account Gaming blocks,
+//! whose *dynamic* footprints send the static scheduler down its
+//! ordered serial fallback, and large conflict-light Exchange blocks,
+//! where the executor genuinely runs multi-threaded and a scheduling bug
+//! would show as a supply-counter mismatch.
+//!
 //! Runs on the in-tree `diablo-testkit` harness: failures shrink and
 //! print a `DIABLO_PROP_SEED=<seed>` line that replays the exact case;
 //! `DIABLO_PROP_CASES` scales the case count.
@@ -122,31 +128,103 @@ fn parallel_block_execution_is_bit_identical_to_serial() {
         );
 }
 
+/// Maps a uniform draw to a Zipf-like player id: player 1 with
+/// probability 1/2, player 2 with 1/4, … — a heavy-tailed hot-account
+/// distribution over 64 players, built from the leading-zero count so
+/// the skew is exact and needs no floating point.
+fn zipfian_player(r: u64) -> i32 {
+    1 + (r | 1).leading_zeros().min(63) as i32
+}
+
+/// The hot-account workload: Zipf-distributed Gaming
+/// `update(player, delta)` calls. Their dynamic per-player footprints
+/// force the static executor into its ordered serial fallback, which
+/// must still reproduce the serial result at every worker count.
+#[test]
+fn zipfian_hot_account_blocks_match_serial_at_every_thread_count() {
+    Property::new("zipfian_hot_account_blocks_match_serial_at_every_thread_count")
+        .cases(32)
+        .check(
+            &(usizes(0..=3), vecs(u64s(0..=u64::MAX), 16..=96)),
+            |(flavor_idx, draws)| {
+                let flavor = VmFlavor::ALL[*flavor_idx];
+                let Ok(mut serial) =
+                    ExecutionEngine::with_dapp(flavor, ExecMode::Exact, DApp::Gaming)
+                else {
+                    return Ok(());
+                };
+                let mut parallel: Vec<ExecutionEngine> = THREADS
+                    .iter()
+                    .map(|&t| {
+                        ExecutionEngine::with_dapp(flavor, ExecMode::Exact, DApp::Gaming)
+                            .expect("buildable above")
+                            .with_concurrency(Concurrency::Parallel(t))
+                    })
+                    .collect();
+
+                let payloads: Vec<Payload> = draws
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &r)| Payload::Invoke {
+                        dapp: DApp::Gaming,
+                        seq: i as u64,
+                        call: Some(CallSel {
+                            entry: 0, // "update"
+                            args: [zipfian_player(r), 1 + (r % 3) as i32],
+                            argc: 2,
+                        }),
+                    })
+                    .collect();
+
+                for chunk in payloads.chunks(17) {
+                    let want = serial.execute_block(chunk);
+                    let s = &serial.contract().expect("deployed").initial_state;
+                    for (engine, &threads) in parallel.iter_mut().zip(THREADS.iter()) {
+                        let got = engine.execute_block(chunk);
+                        prop_assert_eq!(
+                            want.clone(),
+                            got,
+                            "hot-account costs diverged on {} at {} threads",
+                            flavor,
+                            threads
+                        );
+                        let p = &engine.contract().expect("deployed").initial_state;
+                        prop_assert!(
+                            s == p,
+                            "hot-account state diverged on {} at {} threads",
+                            flavor,
+                            threads
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
+}
+
 /// A focused conflict-light stress: large Exchange blocks decompose into
 /// five independent components, so this is the configuration where the
 /// executor genuinely runs multi-threaded — and where a scheduling bug
 /// (lost update, wrong merge order, double-applied delta) would show as
-/// a supply-counter mismatch.
+/// a supply-counter mismatch. Every block runs at every thread count.
 #[test]
 fn exchange_supply_counters_survive_parallel_commits() {
     Property::new("exchange_supply_counters_survive_parallel_commits")
         .cases(24)
-        .check(
-            &(usizes(0..=2), vecs(u64s(0..=1_000_000), 32..=160)),
-            |(threads_idx, seqs)| {
-                let threads = THREADS[*threads_idx];
+        .check(&vecs(u64s(0..=1_000_000), 32..=160), |seqs| {
+            let payloads: Vec<Payload> = seqs
+                .iter()
+                .map(|&seq| Payload::Invoke {
+                    dapp: DApp::Exchange,
+                    seq,
+                    call: None,
+                })
+                .collect();
+            for threads in THREADS {
                 let mut engine =
                     ExecutionEngine::with_dapp(VmFlavor::Geth, ExecMode::Exact, DApp::Exchange)
                         .expect("exchange builds on geth")
                         .with_concurrency(Concurrency::Parallel(threads));
-                let payloads: Vec<Payload> = seqs
-                    .iter()
-                    .map(|&seq| Payload::Invoke {
-                        dapp: DApp::Exchange,
-                        seq,
-                        call: None,
-                    })
-                    .collect();
                 let costs = engine.execute_block(&payloads);
                 prop_assert!(costs.iter().all(|c| c.ok), "all buys must succeed");
                 // Conservation: total tokens bought equals total supply
@@ -165,7 +243,7 @@ fn exchange_supply_counters_survive_parallel_commits() {
                         threads
                     );
                 }
-                Ok(())
-            },
-        );
+            }
+            Ok(())
+        });
 }

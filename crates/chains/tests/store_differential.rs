@@ -1,22 +1,16 @@
 //! Differential tests for the staged commit pipeline: the state store
 //! must report byte-identical roots and persisted state no matter how
-//! the blocks were executed (serial, parallel, optimistic; any worker
-//! count), which event-queue backend drove the simulation, and which
-//! prune mode bounded the resident set.
+//! the blocks were executed (serial or parallel; any worker count) and
+//! which prune mode bounded the resident set.
 
 use diablo_chains::{
-    Chain, ChainParams, Concurrency, ExecMode, Experiment, PruneMode, QueueBackend, StorageConfig,
-    StorageReport,
+    Chain, ChainParams, Concurrency, ExecMode, Experiment, PruneMode, StorageConfig, StorageReport,
 };
 use diablo_contracts::DApp;
 use diablo_net::{DeploymentConfig, DeploymentKind, InstanceType};
 use diablo_workloads::traces;
 
-fn exchange_run(
-    concurrency: Concurrency,
-    queue: QueueBackend,
-    storage: Option<StorageConfig>,
-) -> diablo_chains::RunResult {
+fn exchange_run(concurrency: Concurrency, storage: Option<StorageConfig>) -> diablo_chains::RunResult {
     let mut e = Experiment::new(
         Chain::Quorum,
         DeploymentKind::Testnet,
@@ -25,7 +19,6 @@ fn exchange_run(
     .with_dapp(DApp::Exchange)
     .with_exec_mode(ExecMode::Exact)
     .with_concurrency(concurrency)
-    .with_queue_backend(queue)
     .with_grace(20);
     if let Some(cfg) = storage {
         e = e.with_storage(cfg);
@@ -42,36 +35,26 @@ fn small_store() -> StorageConfig {
 }
 
 #[test]
-fn storage_report_is_identical_across_executors_and_backends() {
-    let reference: StorageReport = exchange_run(
-        Concurrency::Serial,
-        QueueBackend::Wheel,
-        Some(small_store()),
-    )
-    .storage
-    .expect("storage enabled");
+fn storage_report_is_identical_across_executors() {
+    let reference: StorageReport = exchange_run(Concurrency::Serial, Some(small_store()))
+        .storage
+        .expect("storage enabled");
     assert_eq!(reference.root_hex.len(), 64);
     assert!(reference.blocks > 0 && reference.txs > 0);
 
-    for queue in [QueueBackend::Wheel, QueueBackend::Heap] {
-        for concurrency in [
-            Concurrency::Serial,
-            Concurrency::Parallel(2),
-            Concurrency::Parallel(4),
-            Concurrency::Parallel(8),
-            Concurrency::Optimistic(2),
-            Concurrency::Optimistic(4),
-            Concurrency::Optimistic(8),
-        ] {
-            let report = exchange_run(concurrency, queue, Some(small_store()))
-                .storage
-                .expect("storage enabled");
-            // The whole report — roots, resident byte counts, page
-            // states, entry counts — must be bit-identical: the store
-            // only ever sees the canonical (serial-equivalent)
-            // execution output.
-            assert_eq!(report, reference, "{concurrency:?} on {queue:?}");
-        }
+    for concurrency in [
+        Concurrency::Parallel(1),
+        Concurrency::Parallel(2),
+        Concurrency::Parallel(4),
+        Concurrency::Parallel(8),
+    ] {
+        let report = exchange_run(concurrency, Some(small_store()))
+            .storage
+            .expect("storage enabled");
+        // The whole report — roots, resident byte counts, page states,
+        // entry counts — must be bit-identical: the store only ever
+        // sees the canonical (serial-equivalent) execution output.
+        assert_eq!(report, reference, "{concurrency:?}");
     }
 }
 
@@ -86,7 +69,6 @@ fn all_prune_modes_report_the_same_roots() {
     .map(|prune| {
         let report = exchange_run(
             Concurrency::Serial,
-            QueueBackend::Wheel,
             Some(StorageConfig {
                 prune,
                 segment_blocks: 4,
@@ -118,8 +100,8 @@ fn all_prune_modes_report_the_same_roots() {
 
 #[test]
 fn enabling_the_store_does_not_perturb_execution() {
-    let without = exchange_run(Concurrency::Serial, QueueBackend::Wheel, None);
-    let with = exchange_run(Concurrency::Serial, QueueBackend::Wheel, Some(small_store()));
+    let without = exchange_run(Concurrency::Serial, None);
+    let with = exchange_run(Concurrency::Serial, Some(small_store()));
     assert!(without.storage.is_none());
     assert!(with.storage.is_some());
     // The pipeline observes committed blocks; it must not change a

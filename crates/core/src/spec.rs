@@ -22,7 +22,7 @@ pub struct BenchmarkSpec {
     /// empty when absent).
     pub fault: FaultPlan,
     /// Block-commit concurrency requested by the optional `execution:`
-    /// section (`None` when absent; the CLI's `--threads`/`--optimistic`
+    /// section (`None` when absent; the CLI's `--threads`/`--execution`
     /// flags override it — see `run_with_setup`).
     pub execution: Option<Concurrency>,
     /// Signature-verification cost curve requested by the optional
@@ -391,7 +391,7 @@ fn parse_faults(section: &Value) -> Result<FaultPlan, SpecError> {
 ///
 /// ```yaml
 /// execution:
-///   mode: optimistic   # serial | parallel | optimistic
+///   mode: parallel   # serial | parallel
 ///   threads: 8
 /// ```
 fn parse_execution(section: &Value) -> Result<Concurrency, SpecError> {
@@ -417,8 +417,12 @@ fn parse_execution(section: &Value) -> Result<Concurrency, SpecError> {
             .ok_or_else(|| err("`execution.mode` must be a string"))?,
         None => "parallel",
     };
-    Concurrency::from_mode(mode, threads)
-        .ok_or_else(|| err(format!("unknown `execution.mode` `{mode}`")))
+    Concurrency::from_mode(mode, threads).ok_or_else(|| {
+        err(format!(
+            "unknown `execution.mode` `{mode}` ({})",
+            Concurrency::MODES
+        ))
+    })
 }
 
 /// Parses the `sigverify:` section: the batched signature-verification
@@ -752,20 +756,23 @@ workloads:
         let with = |section: &str| format!("{base}execution:\n{section}");
         let parse = |section: &str| BenchmarkSpec::parse(&with(section)).unwrap().execution;
         assert_eq!(
-            parse("  mode: optimistic\n  threads: 8\n"),
-            Some(Concurrency::Optimistic(8))
+            parse("  mode: parallel\n  threads: 8\n"),
+            Some(Concurrency::Parallel(8))
         );
         assert_eq!(parse("  mode: serial\n"), Some(Concurrency::Serial));
         // `threads` alone implies the static parallel scheduler; `mode`
         // alone defaults to 4 workers.
         assert_eq!(parse("  threads: 2\n"), Some(Concurrency::Parallel(2)));
-        assert_eq!(
-            parse("  mode: optimistic\n"),
-            Some(Concurrency::Optimistic(4))
-        );
+        assert_eq!(parse("  mode: parallel\n"), Some(Concurrency::Parallel(4)));
 
         let bad = |section: &str| BenchmarkSpec::parse(&with(section)).unwrap_err();
         assert!(bad("  mode: speculative\n").0.contains("execution.mode"));
+        // The removed optimistic mode is rejected with the accepted list.
+        let e = bad("  mode: optimistic\n").0;
+        assert!(
+            e.contains("`optimistic`") && e.contains("serial | parallel"),
+            "{e}"
+        );
         assert!(bad("  threads: 0\n").0.contains("threads"));
         assert!(bad("  workers: 3\n").0.contains("unknown `execution` key"));
     }

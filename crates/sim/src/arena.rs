@@ -11,8 +11,7 @@
 //!
 //! Compared to owning collections (`Vec<T>`, `VecDeque<T>`), the arena
 //! lets hot loops pass 8-byte ids instead of cloning records, and reuse
-//! keeps the per-event steady state allocation-free — the same property
-//! the timer wheel's node slab provides for queued events.
+//! keeps the per-event steady state allocation-free.
 
 /// Handle to a live arena slot: slot index plus the generation observed
 /// at allocation.

@@ -5,7 +5,7 @@
 //! order. Handlers schedule follow-up events through a [`Scheduler`]
 //! handle, which keeps borrowing simple (the world never holds the queue).
 
-use crate::queue::{EventQueue, QueueBackend};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Mutable simulation state plus its event handler.
@@ -60,21 +60,11 @@ pub struct Simulation<W: World> {
 }
 
 impl<W: World> Simulation<W> {
-    /// Creates a simulation around an initial world state, on the
-    /// default (timer wheel) event queue.
+    /// Creates a simulation around an initial world state.
     pub fn new(world: W) -> Self {
-        Self::with_backend(world, QueueBackend::default())
-    }
-
-    /// Creates a simulation on an explicit event-queue backend.
-    ///
-    /// The wheel is the production default; the heap backend is kept for
-    /// differential testing and benchmarking against the reference
-    /// implementation.
-    pub fn with_backend(world: W, backend: QueueBackend) -> Self {
         Simulation {
             world,
-            queue: EventQueue::with_backend(backend),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             delivered: 0,
         }

@@ -19,7 +19,7 @@ pub mod time;
 
 pub use arena::{Arena, ArenaId};
 pub use engine::{Scheduler, Simulation, World};
-pub use queue::{EventQueue, QueueBackend};
+pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use stats::{Cdf, Histogram, LogHistogram, Percentiles, Summary, TimeSeries};
 pub use time::{SimDuration, SimTime};

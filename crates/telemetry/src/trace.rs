@@ -4,8 +4,7 @@
 //! *run* spent its time; it cannot explain where one tail-latency
 //! transaction did. This module records a causal event trail per
 //! transaction — `submitted → admitted → selected → ordered(round,
-//! block) → executed(mode, execution count) → persisted(root) →
-//! finalized`, plus rejection / retry / fault-delay edges — with
+//! block) → executed(mode) → persisted(root) → finalized`, plus rejection / retry / fault-delay edges — with
 //! sim-time stamps, and exports it as Chrome Trace Event Format JSON
 //! (loadable in Perfetto or `chrome://tracing`).
 //!
@@ -17,12 +16,11 @@
 //! - **Events carry modeled time only.** Every stamp is virtual
 //!   sim-time, produced by the single-threaded simulation loop; worker
 //!   threads never emit trace events. The executor-dependent
-//!   annotations ([`TraceStage::Executed`]'s mode and execution count)
-//!   are kept in the [`TraceSet`] and on the wire but deliberately
-//!   *omitted from the Chrome export*, so the exported waterfall is a
-//!   pure function of the modeled timeline and stays byte-identical
-//!   across `Serial`, `Parallel(n)` and `Optimistic(n)` runs of the
-//!   same seed.
+//!   annotation ([`TraceStage::Executed`]'s mode) is kept in the
+//!   [`TraceSet`] and on the wire but deliberately *omitted from the
+//!   Chrome export*, so the exported waterfall is a pure function of
+//!   the modeled timeline and stays byte-identical across `Serial` and
+//!   `Parallel(n)` runs of the same seed.
 //! - **Sampling is membership-by-identity, not by arrival.** A classic
 //!   reservoir depends on observation order. The bounded sampler here
 //!   instead keeps the `N` transactions whose [`rank`] (a seeded
@@ -65,8 +63,7 @@ pub enum TraceStage {
     /// height).
     Ordered = 6,
     /// The execution engine committed the transaction's effects
-    /// (`arg0` = concurrency mode code, `arg1` = times executed —
-    /// more than 1 under optimistic speculation).
+    /// (`arg0` = concurrency mode code).
     Executed = 7,
     /// The state store persisted the enclosing block (`arg0` = first 8
     /// bytes of the block's state root, big-endian).
@@ -716,7 +713,7 @@ mod tests {
                 TraceEvent { stage: TraceStage::Admitted, at_us: 250, arg0: 0, arg1: 0 },
                 TraceEvent { stage: TraceStage::Selected, at_us: 900, arg0: 2, arg1: 0 },
                 TraceEvent { stage: TraceStage::Ordered, at_us: 1400, arg0: 2, arg1: 1 },
-                TraceEvent { stage: TraceStage::Executed, at_us: 1500, arg0: 2, arg1: 2 },
+                TraceEvent { stage: TraceStage::Executed, at_us: 1500, arg0: 1, arg1: 0 },
                 TraceEvent { stage: TraceStage::Persisted, at_us: 1500, arg0: 0xabcd, arg1: 0 },
                 TraceEvent { stage: TraceStage::Finalized, at_us: 2100, arg0: 1, arg1: 0 },
             ],

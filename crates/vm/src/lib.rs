@@ -25,7 +25,6 @@ pub mod flavor;
 pub mod gas;
 pub mod interp;
 pub mod lang;
-pub mod mv;
 pub mod op;
 pub mod paged;
 pub mod prepared;
@@ -37,7 +36,6 @@ pub use error::ExecError;
 pub use flavor::VmFlavor;
 pub use gas::GasSchedule;
 pub use interp::{Interpreter, Receipt, TxContext, MAX_LOCALS, MAX_OPS, MAX_STACK};
-pub use mv::{MvMemory, ReadSet, SpeculativeOverlay};
 pub use op::Op;
 pub use paged::PagedState;
 pub use prepared::{prepare, EntryId, PreparedProgram};

@@ -14,7 +14,7 @@
 //! behaviourally identical to [`crate::ContractState`] — same EVM read-as-zero
 //! semantics, same entry-count limit enforcement — which the
 //! differential property test in `tests/paged_differential.rs` proves,
-//! keeping the serial/static/optimistic executors bit-identical no
+//! keeping the serial and static-parallel executors bit-identical no
 //! matter which backend holds the committed state.
 
 use std::collections::HashMap;

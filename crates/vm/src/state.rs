@@ -213,39 +213,6 @@ pub struct OverlayDelta {
     blob_count: u64,
 }
 
-impl OverlayDelta {
-    /// Assembles a delta from raw parts (crate-internal: the
-    /// speculative overlay in [`crate::mv`] builds its delta directly).
-    pub(crate) fn from_parts(
-        entries: HashMap<Word, Word>,
-        blob_bytes: u64,
-        blob_count: u64,
-    ) -> OverlayDelta {
-        OverlayDelta {
-            entries,
-            blob_bytes,
-            blob_count,
-        }
-    }
-
-    /// Whether the overlay recorded no effects at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.blob_bytes == 0 && self.blob_count == 0
-    }
-
-    /// Number of keys the overlay wrote.
-    pub fn written_keys(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The written `(key, value)` pairs, in no particular order. The
-    /// optimistic executor uses this to count the keys a commit would
-    /// newly create when checking the entry-count budget.
-    pub fn entries(&self) -> impl Iterator<Item = (Word, Word)> + '_ {
-        self.entries.iter().map(|(&k, &v)| (k, v))
-    }
-}
-
 impl<'a> Overlay<'a> {
     /// An empty overlay over `base`.
     pub fn new(base: &'a ContractState) -> Self {

@@ -107,15 +107,7 @@ impl Workload {
     /// after deterministic rounding, i.e. the sum of [`Workload::ticks`]
     /// at any tick size).
     pub fn total_txs(&self) -> u64 {
-        let mut acc = 0.0;
-        let mut total = 0u64;
-        for r in &self.rates {
-            acc += r;
-            let whole = acc.floor();
-            total += whole as u64;
-            acc -= whole;
-        }
-        total
+        whole_txs(self.rates.iter().fold(0.0, |acc, r| acc + r))
     }
 
     /// Scales every rate by `factor` (used to split load between
@@ -134,9 +126,12 @@ impl Workload {
         self
     }
 
-    /// Expands the curve into per-tick transaction counts with
-    /// deterministic fractional accumulation: the sum over any prefix is
-    /// within one transaction of the exact integral of the curve.
+    /// Expands the curve into per-tick transaction counts: tick `k`
+    /// carries the whole transactions the curve's running integral
+    /// gains over it. The integral at each second boundary is the same
+    /// float sum [`Workload::total_txs`] takes, so the ticks always sum
+    /// to exactly that total, and the sum over any prefix is within one
+    /// transaction of the integral.
     ///
     /// # Panics
     ///
@@ -148,15 +143,23 @@ impl Workload {
         );
         let per_sec = (1000 / tick_ms) as usize;
         let mut out = Vec::with_capacity(self.rates.len() * per_sec);
-        let mut acc = 0.0;
+        // The integral at the start of the current second, and the whole
+        // transactions emitted so far.
+        let mut base = 0.0;
+        let mut emitted = 0u64;
         for &rate in &self.rates {
-            let per_tick = rate / per_sec as f64;
-            for _ in 0..per_sec {
-                acc += per_tick;
-                let whole = acc.floor();
-                out.push(whole as u64);
-                acc -= whole;
+            let end = base + rate;
+            for j in 1..=per_sec {
+                let upto = if j == per_sec {
+                    end
+                } else {
+                    base + rate * j as f64 / per_sec as f64
+                };
+                let whole = whole_txs(upto);
+                out.push(whole - emitted);
+                emitted = whole;
             }
+            base = end;
         }
         out
     }
@@ -193,6 +196,13 @@ impl fmt::Display for Workload {
     }
 }
 
+/// Whole transactions in a running integral of the rate curve. The
+/// small tolerance absorbs float summation error, so a curve of
+/// 443.2 tx per 100 ms tick reaches 4432 at one second, not 4431.
+fn whole_txs(integral: f64) -> u64 {
+    (integral + 1e-9).floor() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,13 +222,34 @@ mod tests {
 
     #[test]
     fn ticks_conserve_totals() {
-        let w = Workload::from_rates("x", vec![10.5, 0.25, 1000.0, 3.3]);
-        for tick_ms in [1000, 500, 100, 50] {
-            let ticks = w.ticks(tick_ms);
-            assert_eq!(ticks.len(), w.duration_secs() * (1000 / tick_ms as usize));
-            let sum: u64 = ticks.iter().sum();
-            assert_eq!(sum, w.total_txs(), "tick {tick_ms}ms");
+        // A seeded random curve with fractional rates, up to dota's
+        // magnitude.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let random: Vec<f64> = (0..300)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 11) as f64 / (1u64 << 53) as f64 * 5_000.0
+            })
+            .collect();
+        let curves = [
+            vec![10.5, 0.25, 1000.0, 3.3],
+            // 443.2 tx per 100 ms tick: the ticks must reach 4432.
+            vec![4432.0],
+            random,
+        ];
+        for rates in curves {
+            let w = Workload::from_rates("x", rates);
+            for tick_ms in [1000, 500, 100, 50, 10] {
+                let ticks = w.ticks(tick_ms);
+                assert_eq!(ticks.len(), w.duration_secs() * (1000 / tick_ms as usize));
+                let sum: u64 = ticks.iter().sum();
+                assert_eq!(sum, w.total_txs(), "tick {tick_ms}ms");
+            }
         }
+        let one_second = Workload::from_rates("x", vec![4432.0]).ticks(100);
+        assert_eq!(one_second.iter().sum::<u64>(), 4432);
     }
 
     #[test]

@@ -16,8 +16,12 @@ cargo test -q --release --offline --workspace
 # Deterministic parallel execution: replay the serial-vs-parallel
 # differential properties under pinned seeds. Each seed pins one
 # flavor / DApp / thread-count case — together they cover 2, 4 and 8
-# workers — while the unseeded workspace run above sweeps the full
-# randomized case set.
+# workers — plus the Zipfian hot-account and supply-conservation
+# cases, while the unseeded workspace run above sweeps the full
+# randomized case set. The 2-sample bench smoke at the bottom
+# additionally drives the serial/static arms of the block_execution
+# bench, each sample asserting bit-identity against the serial
+# reference.
 echo "==> parallel differential replays (pinned seeds: 2/4/8 workers)"
 for seed in 0xd1ab70 0xb10c5 0x7; do
     echo "    DIABLO_PROP_SEED=$seed"
@@ -25,41 +29,27 @@ for seed in 0xd1ab70 0xb10c5 0x7; do
         cargo test -q --release --offline -p diablo-chains --test parallel_differential
 done
 
-# Optimistic (Block-STM-style) execution: the same pinned-seed replay
-# discipline over the optimistic differential suite, which also covers
-# the Zipfian hot-account workload the static scheduler serializes.
-# The unseeded workspace run above sweeps the full randomized case set;
-# the 2-sample bench smoke at the bottom additionally drives the
-# serial/static/optimistic arms of the block_execution bench, each
-# sample asserting bit-identity against the serial reference.
-echo "==> optimistic differential replays (pinned seeds: 2/4/8 workers)"
-for seed in 0xd1ab70 0xb10c5 0x7; do
-    echo "    DIABLO_PROP_SEED=$seed"
-    DIABLO_PROP_SEED="$seed" \
-        cargo test -q --release --offline -p diablo-chains --test optimistic_differential
-done
-
-# Optimistic end-to-end smoke: a pinned-seed exact-mode chaos run
-# through the optimistic executor must be byte-identical across worker
-# counts — results and telemetry counters both (docs/EXECUTION.md §4.2).
-echo "==> optimistic smoke (pinned-seed chaos run, 1 vs 8 workers byte-compared)"
-opt_a="$(mktemp /tmp/diablo-opt-a.XXXXXX.json)"
-opt_b="$(mktemp /tmp/diablo-opt-b.XXXXXX.json)"
+# Parallel end-to-end smoke: a pinned-seed exact-mode chaos run through
+# the static parallel executor must be byte-identical across worker
+# counts — results and telemetry counters both (docs/EXECUTION.md §5).
+echo "==> parallel smoke (pinned-seed chaos run, 1 vs 8 workers byte-compared)"
+par_a="$(mktemp /tmp/diablo-par-a.XXXXXX.json)"
+par_b="$(mktemp /tmp/diablo-par-b.XXXXXX.json)"
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-    --seed=11 --exact --optimistic --threads=1 \
-    --output="$opt_a" workloads/exchange-partition.yaml >/dev/null
+    --seed=11 --exec-mode=exact --execution=parallel --threads=1 \
+    --output="$par_a" workloads/exchange-partition.yaml >/dev/null
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-    --seed=11 --exact --optimistic --threads=8 \
-    --output="$opt_b" workloads/exchange-partition.yaml >/dev/null
-cmp "$opt_a" "$opt_b" || {
-    echo "optimistic smoke: worker counts produced different output" >&2
+    --seed=11 --exec-mode=exact --execution=parallel --threads=8 \
+    --output="$par_b" workloads/exchange-partition.yaml >/dev/null
+cmp "$par_a" "$par_b" || {
+    echo "parallel smoke: worker counts produced different output" >&2
     exit 1
 }
-grep -qF '"optimistic.blocks"' "$opt_a" || {
-    echo "optimistic smoke: optimistic.* counters missing from telemetry" >&2
+grep -qF '"parallel.plan.blocks"' "$par_a" || {
+    echo "parallel smoke: parallel.plan.* counters missing from telemetry" >&2
     exit 1
 }
-rm -f "$opt_a" "$opt_b"
+rm -f "$par_a" "$par_b"
 
 # Telemetry smoke: one Exchange benchmark with telemetry on must emit
 # a results document whose `telemetry` section parses and carries the
@@ -108,7 +98,7 @@ store_b="$(mktemp /tmp/diablo-store-b.XXXXXX.json)"
 root_ref=""
 for prune in full distance=3 before=20; do
     cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-        --seed=11 --exact --prune="$prune" --segment-blocks=4 \
+        --seed=11 --exec-mode=exact --prune="$prune" --segment-blocks=4 \
         --output="$store_a" workloads/exchange-apple.yaml >/dev/null
     root="$(grep -o '"root":"[0-9a-f]*"' "$store_a")"
     [ -n "$root" ] || { echo "storage smoke: no root under --prune=$prune" >&2; exit 1; }
@@ -119,10 +109,10 @@ for prune in full distance=3 before=20; do
     }
 done
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-    --seed=11 --exact --optimistic --threads=8 --store \
+    --seed=11 --exec-mode=exact --execution=parallel --threads=8 --store \
     --output="$store_a" workloads/exchange-apple.yaml >/dev/null
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-    --seed=11 --exact --threads=1 --store \
+    --seed=11 --exec-mode=exact --threads=1 --store \
     --output="$store_b" workloads/exchange-apple.yaml >/dev/null
 for key in '"storage":{' '"store.blocks"'; do
     grep -qF "$key" "$store_a" || {
@@ -131,14 +121,13 @@ for key in '"storage":{' '"store.blocks"'; do
     }
 done
 # The storage section and store.* gauges must agree between the serial
-# and the 8-worker optimistic run (full records differ only in the
-# telemetry the executors themselves emit, so compare the store parts).
+# and the 8-worker parallel run (compare the store parts).
 for pat in '"storage":{[^}]*}' '"store\.[a-z_]*":[0-9]*'; do
     a="$(grep -o "$pat" "$store_a")"; b="$(grep -o "$pat" "$store_b")"
     [ "$a" = "$b" ] || {
         echo "storage smoke: store output differs across executors" >&2
-        echo "  8-worker optimistic: $a" >&2
-        echo "  serial:              $b" >&2
+        echo "  8-worker parallel: $a" >&2
+        echo "  serial:            $b" >&2
         exit 1
     }
 done
@@ -153,10 +142,10 @@ echo "==> trace smoke (pinned-seed run, --trace-sample=64, 1 vs 8 workers byte-c
 trace_a="$(mktemp /tmp/diablo-trace-a.XXXXXX.json)"
 trace_b="$(mktemp /tmp/diablo-trace-b.XXXXXX.json)"
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-    --seed=11 --exact --threads=1 --trace-sample=64 \
+    --seed=11 --exec-mode=exact --threads=1 --trace-sample=64 \
     --trace-out="$trace_a" workloads/exchange-apple.yaml >/dev/null
 cargo run -q --release --offline --bin diablo -- run --chain=quorum \
-    --seed=11 --exact --threads=8 --trace-sample=64 \
+    --seed=11 --exec-mode=exact --threads=8 --trace-sample=64 \
     --trace-out="$trace_b" workloads/exchange-apple.yaml >/dev/null
 cmp "$trace_a" "$trace_b" || {
     echo "trace smoke: worker counts produced different trace files" >&2

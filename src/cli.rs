@@ -1,17 +1,15 @@
 //! The declarative command-line surface of the `diablo` binary.
 //!
 //! Every flag the binary accepts is one row of [`FLAGS`]: its name, its
-//! value shape, the group it is documented under, whether it repeats,
-//! and — for flags kept only for compatibility — what replaces it.
-//! Parsing ([`Invocation::parse`]) validates against the table (unknown
-//! flags are errors, not silently ignored), the usage text
+//! value shape, the group it is documented under and whether it
+//! repeats. Parsing ([`Invocation::parse`]) validates against the table
+//! (unknown flags are errors, not silently ignored), the usage text
 //! ([`usage_text`]) is generated from the same table, and
 //! [`Invocation::overlay`] turns the flags into the invocation's
 //! [`RunOverlay`] — the CLI layer of the one resolution rule
 //! `defaults ← spec ← CLI` (see `diablo_chains::RunConfig`).
 
 use diablo_chains::{Concurrency, ExecMode, LiveConfig, RunOverlay};
-use diablo_sim::QueueBackend;
 use diablo_telemetry::trace::TraceSample;
 
 /// What kind of value a flag takes.
@@ -96,9 +94,6 @@ pub struct FlagSpec {
     pub group: FlagGroup,
     /// Whether the flag may appear more than once (chaos directives).
     pub repeatable: bool,
-    /// `Some(replacement)` marks a deprecated alias: still honored, but
-    /// parsing warns once and the usage text points at the replacement.
-    pub deprecated: Option<&'static str>,
     /// One-line help.
     pub help: &'static str,
 }
@@ -114,7 +109,6 @@ const fn flag(
         kind,
         group,
         repeatable: false,
-        deprecated: None,
         help,
     }
 }
@@ -159,12 +153,6 @@ pub const FLAGS: &[FlagSpec] = &[
         "drain window after the last submission (default: 60)",
     ),
     flag(
-        "queue",
-        FlagKind::Value("wheel|heap"),
-        FlagGroup::Common,
-        "event-queue backend of the simulation kernel (default: wheel)",
-    ),
-    flag(
         "help",
         FlagKind::Switch,
         FlagGroup::Common,
@@ -178,14 +166,6 @@ pub const FLAGS: &[FlagSpec] = &[
         "execution fidelity; exact interprets every call (required for the block \
          executors to engage)",
     ),
-    FlagSpec {
-        name: "exact",
-        kind: FlagKind::Switch,
-        group: FlagGroup::Execution,
-        repeatable: false,
-        deprecated: Some("--exec-mode=exact"),
-        help: "exact execution mode",
-    },
     flag(
         "threads",
         FlagKind::Value("N"),
@@ -196,16 +176,8 @@ pub const FLAGS: &[FlagSpec] = &[
         "execution",
         FlagKind::Value("MODE"),
         FlagGroup::Execution,
-        "serial | parallel | optimistic",
+        Concurrency::MODES,
     ),
-    FlagSpec {
-        name: "optimistic",
-        kind: FlagKind::Switch,
-        group: FlagGroup::Execution,
-        repeatable: false,
-        deprecated: Some("--execution=optimistic"),
-        help: "Block-STM-style speculation",
-    },
     // Storage.
     flag(
         "store",
@@ -250,7 +222,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("NODES@AT[..RECOVER]"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "crash nodes, optionally recovering",
     },
     FlagSpec {
@@ -258,7 +229,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("GRP/GRP@FROM..UNTIL"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "split the network into components",
     },
     FlagSpec {
@@ -266,7 +236,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("RATE@FROM..UNTIL"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "drop consensus messages (optionally ,link=A-B)",
     },
     FlagSpec {
@@ -274,7 +243,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("RATE@FROM..UNTIL"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "corrupt client submissions",
     },
     FlagSpec {
@@ -282,7 +250,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("FACTOR@AT"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "stretch network delays",
     },
     FlagSpec {
@@ -290,7 +257,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("IDX@AT"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "kill a load-generating worker",
     },
     FlagSpec {
@@ -298,7 +264,6 @@ pub const FLAGS: &[FlagSpec] = &[
         kind: FlagKind::Value("AxB_MS/T_MS"),
         group: FlagGroup::Chaos,
         repeatable: true,
-        deprecated: None,
         help: "client retry policy (attempts x backoff / timeout)",
     },
     // Live.
@@ -390,11 +355,9 @@ pub struct Invocation {
 impl Invocation {
     /// Parses and validates `argv` (without the program name) against
     /// the flag table. Unknown flags, switches given values and value
-    /// flags missing them are errors; deprecated aliases warn on
-    /// standard error but parse.
+    /// flags missing them are errors.
     pub fn parse(argv: &[String]) -> Result<Invocation, String> {
         let mut inv = Invocation::default();
-        let mut warned: Vec<&'static str> = Vec::new();
         for arg in argv {
             let Some(rest) = arg.strip_prefix("--") else {
                 inv.positional.push(arg.clone());
@@ -416,12 +379,6 @@ impl Invocation {
                 }
                 (FlagKind::Value(_), Some(v)) => v.to_string(),
             };
-            if let Some(replacement) = spec.deprecated {
-                if !warned.contains(&spec.name) {
-                    eprintln!("warning: --{key} is deprecated; use {replacement}");
-                    warned.push(spec.name);
-                }
-            }
             inv.flags.push((key.to_string(), value));
         }
         Ok(inv)
@@ -466,13 +423,6 @@ impl Invocation {
             o.grace_secs = Some(g.parse().map_err(|_| "bad --grace")?);
         }
         o.faults = self.parse_chaos()?;
-        if let Some(q) = self.get("queue") {
-            o.queue = Some(match q {
-                "wheel" => QueueBackend::Wheel,
-                "heap" => QueueBackend::Heap,
-                other => return Err(format!("bad --queue={other} (wheel | heap)")),
-            });
-        }
         o.storage = self.parse_storage()?;
         o.trace = self.parse_trace()?;
         o.live = self.parse_live()?;
@@ -484,14 +434,12 @@ impl Invocation {
             Some("profiled") => Ok(Some(ExecMode::Profiled)),
             Some("exact") => Ok(Some(ExecMode::Exact)),
             Some(other) => Err(format!("bad --exec-mode={other} (profiled | exact)")),
-            // The deprecated alias.
-            None if self.has("exact") => Ok(Some(ExecMode::Exact)),
             None => Ok(None),
         }
     }
 
-    /// Resolves the execution flags (`--threads=N`, `--optimistic`,
-    /// `--execution=MODE`) into a block-commit concurrency; `None` when
+    /// Resolves the execution flags (`--threads=N`, `--execution=MODE`)
+    /// into a block-commit concurrency; `None` when
     /// no execution flag was given (the spec's `execution:` section
     /// then decides).
     fn parse_concurrency(&self) -> Result<Option<Concurrency>, String> {
@@ -504,19 +452,16 @@ impl Invocation {
             ),
             None => None,
         };
-        let mode = match (self.get("execution"), self.has("optimistic")) {
-            (Some(_), true) => return Err("--execution and --optimistic are exclusive".into()),
-            (Some(mode), false) => Some(mode),
-            (None, true) => Some("optimistic"),
-            // --threads alone selects the static parallel scheduler.
-            (None, false) => threads.is_some().then_some("parallel"),
-        };
+        // --threads alone selects the static parallel scheduler.
+        let mode = self
+            .get("execution")
+            .or(threads.is_some().then_some("parallel"));
         let Some(mode) = mode else {
             return Ok(None);
         };
         Concurrency::from_mode(mode, threads.unwrap_or(4))
             .map(Some)
-            .ok_or_else(|| format!("bad --execution={mode} (serial | parallel | optimistic)"))
+            .ok_or_else(|| format!("bad --execution={mode} ({})", Concurrency::MODES))
     }
 
     /// Builds the invocation's fault layer from the chaos flags; each
@@ -624,11 +569,7 @@ pub fn usage_text() -> String {
                 FlagKind::Switch => format!("--{}", f.name),
                 FlagKind::Value(placeholder) => format!("--{}={placeholder}", f.name),
             };
-            let help = match f.deprecated {
-                Some(replacement) => format!("{} (deprecated; use {replacement})", f.help),
-                None => f.help.to_string(),
-            };
-            let _ = writeln!(out, "  {lhs:<33} {help}");
+            let _ = writeln!(out, "  {lhs:<33} {}", f.help);
         }
     }
     let _ = write!(
@@ -652,8 +593,12 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_errors() {
-        let err = Invocation::parse(&args(&["run", "--sed=7"])).unwrap_err();
-        assert!(err.contains("unknown flag --sed"), "{err}");
+        // Removed flags (--exact, --optimistic, --queue) are unknown too.
+        for flag in ["--sed=7", "--exact", "--optimistic", "--queue=heap"] {
+            let err = Invocation::parse(&args(&["run", flag])).unwrap_err();
+            let name = flag.split('=').next().unwrap_or(flag);
+            assert!(err.contains(&format!("unknown flag {name}")), "{err}");
+        }
     }
 
     #[test]
@@ -680,7 +625,6 @@ mod tests {
             "--execution=parallel",
             "--threads=8",
             "--grace=5",
-            "--queue=heap",
             "--store",
             "--trace-sample=16",
             "--live",
@@ -694,7 +638,6 @@ mod tests {
         assert_eq!(o.exec_mode, Some(ExecMode::Exact));
         assert_eq!(o.concurrency, Some(Concurrency::Parallel(8)));
         assert_eq!(o.grace_secs, Some(5));
-        assert_eq!(o.queue, Some(QueueBackend::Heap));
         assert!(o.storage.is_some());
         assert_eq!(o.trace, Some(TraceSample::Limit(16)));
         assert_eq!(
@@ -705,14 +648,6 @@ mod tests {
             })
         );
         assert!(o.faults.kill_of_secondary(1).is_some());
-    }
-
-    #[test]
-    fn deprecated_aliases_still_set_their_fields() {
-        let inv = Invocation::parse(&args(&["run", "--exact", "--optimistic"])).unwrap();
-        let o = inv.overlay().unwrap();
-        assert_eq!(o.exec_mode, Some(ExecMode::Exact));
-        assert_eq!(o.concurrency, Some(Concurrency::Optimistic(4)));
     }
 
     #[test]
@@ -734,7 +669,7 @@ mod tests {
                 f.name
             );
         }
-        assert!(text.contains("deprecated; use --exec-mode=exact"), "{text}");
+        assert!(text.contains("serial | parallel"), "{text}");
         assert!(text.contains("live-diff"), "{text}");
     }
 
@@ -757,7 +692,14 @@ mod tests {
             let inv = Invocation::parse(&args(flags)).unwrap();
             inv.overlay().unwrap_err()
         };
-        assert!(bad(&["run", "--queue=stack"]).contains("wheel | heap"));
+        for mode in ["fast", "optimistic"] {
+            let flag = format!("--execution={mode}");
+            let err = bad(&["run", flag.as_str()]);
+            assert!(
+                err.contains(mode) && err.contains("serial | parallel"),
+                "{err}"
+            );
+        }
         assert!(bad(&["run", "--exec-mode=fast"]).contains("profiled | exact"));
         assert!(bad(&["run", "--time-scale=-1"]).contains("time-scale"));
         assert!(bad(&["run", "--threads=0"]).contains("threads"));

@@ -139,7 +139,7 @@ fn trace_waterfalls_reconcile_with_phase_histograms() {
     // The Chrome export carries only modeled-time facts, so its bytes
     // are identical no matter which executor committed the blocks.
     let serial_json = trace.to_chrome_json();
-    for concurrency in [Concurrency::Parallel(8), Concurrency::Optimistic(8)] {
+    for concurrency in [Concurrency::Parallel(2), Concurrency::Parallel(8)] {
         let (other, _) = traced_run(concurrency, TraceSample::All);
         let other_json = other.trace.expect("traced").to_chrome_json();
         assert_eq!(serial_json, other_json, "{concurrency:?} export differs");
