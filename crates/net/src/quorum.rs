@@ -16,6 +16,25 @@
 //!   fanout-`k` overlay reaches all nodes in ~`log_k n` hops of the
 //!   median one-way delay.
 //!
+//! # Cost: O(R²) per phase, over node classes
+//!
+//! The delay between two distinct nodes depends only on their regions,
+//! so the model keeps an `R × R` region matrix (`R` = [`Region::COUNT`])
+//! and per-region node counts instead of an `n × n` node matrix. Seen
+//! from a leader, the nodes fall into at most `R + 1` *classes*: the
+//! leader itself and, per region, the region's other nodes. Every node
+//! of a class has the same arrival time in every phase, so each order
+//! statistic is a weighted `k`-th smallest over `(value, multiplicity)`
+//! pairs: at most `R + 2` of them, held on the stack. An all-to-all
+//! round evaluates one such statistic per class, so an IBFT commit costs
+//! O(R²) whatever the node count, and building the model costs O(n + R²).
+//!
+//! The result is exact, not an approximation: every class value is the
+//! same `f64` expression of the same operands as the per-node value it
+//! stands for, and the `k`-th smallest of a multiset does not depend on
+//! how its copies are grouped. A differential test holds the per-node
+//! O(n² log n) formulation as an oracle and checks bit equality.
+//!
 //! All figures use jitter-mean delays; the chain simulations add the
 //! stochastic component per block.
 
@@ -23,55 +42,148 @@ use diablo_sim::SimDuration;
 
 use crate::config::DeploymentConfig;
 use crate::model::NetworkModel;
+use crate::region::Region;
 
-/// Precomputed pairwise mean one-way delays (seconds) for a deployment.
+/// Most classes a node can see: itself plus one per region.
+const MAX_CLASSES: usize = Region::COUNT + 1;
+
+/// Most `(value, multiplicity)` pairs of one order statistic: a
+/// receiver's own class contributes two (itself, its class-mates) and
+/// every other class one.
+const MAX_PAIRS: usize = MAX_CLASSES + 1;
+
+/// Precomputed mean one-way delays (seconds) for a deployment.
 #[derive(Debug, Clone)]
 pub struct QuorumModel {
-    n: usize,
     quorum: usize,
-    /// `delay[i][j]` = mean one-way delay i → j for a vote-sized message.
-    delay: Vec<Vec<f64>>,
+    /// `delay[a][b]` = mean one-way delay of a vote-sized message from
+    /// a node in region `a` to a *different* node in region `b`.
+    delay: [[f64; Region::COUNT]; Region::COUNT],
+    /// Region index of each node, in node-id order.
+    region: Vec<usize>,
+    /// Number of nodes in each region.
+    count: [usize; Region::COUNT],
 }
 
 /// Size of a consensus vote/ack message in bytes.
 const VOTE_BYTES: u64 = 256;
 
+/// Extra one-way delay for a payload of `bytes` relative to a
+/// vote-sized message (serialization only).
+fn payload_extra(bytes: u64) -> f64 {
+    // Serialization time beyond the vote baseline, at a conservative
+    // 100 Mbps WAN floor; propagation is already in `delay`.
+    (bytes.saturating_sub(VOTE_BYTES)) as f64 * 8.0 / 100e6
+}
+
+/// The `k`-th smallest element (1-indexed) of the multiset holding
+/// `mult` copies of each `(value, mult)` pair; `k` is clamped to the
+/// multiset's size. Sorts `pairs` in place.
+fn kth_smallest(pairs: &mut [(f64, usize)], k: usize) -> f64 {
+    let size: usize = pairs.iter().map(|&(_, mult)| mult).sum();
+    assert!(size > 0, "kth_smallest needs values");
+    let k = k.clamp(1, size);
+    pairs.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("delays are not NaN"));
+    let mut seen = 0;
+    for &(value, mult) in pairs.iter() {
+        seen += mult;
+        if seen >= k {
+            return value;
+        }
+    }
+    unreachable!("k is clamped to the multiset's size")
+}
+
+/// A fixed-capacity list on the stack.
+struct Stack<T, const N: usize> {
+    items: [T; N],
+    len: usize,
+}
+
+impl<T: Copy + Default, const N: usize> Stack<T, N> {
+    fn new() -> Self {
+        Stack {
+            items: [T::default(); N],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, item: T) {
+        self.items[self.len] = item;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.items[..self.len]
+    }
+}
+
+/// A multiset of arrival times as `(value, multiplicity)` pairs.
+type Multiset = Stack<(f64, usize), MAX_PAIRS>;
+
+impl Multiset {
+    /// Adds `mult` copies of `value` (none when `mult` is zero).
+    fn add(&mut self, value: f64, mult: usize) {
+        if mult > 0 {
+            self.push((value, mult));
+        }
+    }
+
+    fn kth_smallest(&mut self, k: usize) -> f64 {
+        kth_smallest(self.as_mut_slice(), k)
+    }
+}
+
+/// A group of nodes that see the same arrival times: its region and
+/// how many nodes it holds.
+#[derive(Clone, Copy, Default)]
+struct Class {
+    region: usize,
+    mult: usize,
+}
+
 impl QuorumModel {
     /// Builds the model for a deployment under a network model.
     pub fn new(config: &DeploymentConfig, net: &NetworkModel) -> Self {
-        let sites = config.sites();
-        let n = sites.len();
-        let mut delay = vec![vec![0.0; n]; n];
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    delay[i][j] = net
-                        .mean_delay(sites[i].region, sites[j].region, VOTE_BYTES)
-                        .as_secs_f64();
-                }
+        let mut delay = [[0.0; Region::COUNT]; Region::COUNT];
+        for a in Region::ALL {
+            for b in Region::ALL {
+                delay[a.index()][b.index()] = net.mean_delay(a, b, VOTE_BYTES).as_secs_f64();
             }
+        }
+        let region: Vec<usize> = config.sites().iter().map(|s| s.region.index()).collect();
+        let mut count = [0; Region::COUNT];
+        for &r in &region {
+            count[r] += 1;
         }
         // The pairwise link profile of the deployment, captured once at
         // model build: the distribution every phase latency below is an
-        // order statistic of.
-        for row in &delay {
-            for &d in row {
+        // order statistic of. Region pair (a, b) stands for its
+        // count[a]·count[b] ordered node pairs, less the self-pairs.
+        for a in 0..Region::COUNT {
+            for b in 0..Region::COUNT {
+                let d = delay[a][b];
+                let pairs = count[a] * count[b] - if a == b { count[a] } else { 0 };
                 if d > 0.0 {
-                    diablo_telemetry::record!("net.link.delay_us", (d * 1e6) as u64);
+                    diablo_telemetry::record!("net.link.delay_us", (d * 1e6) as u64, pairs as u64);
                 }
             }
         }
         QuorumModel {
-            n,
             quorum: config.quorum(),
             delay,
+            region,
+            count,
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.region.len()
     }
 
     /// BFT quorum size (2f + 1).
@@ -81,80 +193,83 @@ impl QuorumModel {
 
     /// Mean one-way vote delay from node `i` to node `j`, in seconds.
     pub fn delay_secs(&self, i: usize, j: usize) -> f64 {
-        self.delay[i][j]
+        if i == j {
+            0.0
+        } else {
+            self.delay[self.region[i]][self.region[j]]
+        }
     }
 
-    /// Extra one-way delay for a payload of `bytes` from `i` to `j`
-    /// relative to a vote-sized message (serialization only).
-    fn payload_extra(&self, _i: usize, _j: usize, bytes: u64) -> f64 {
-        // Serialization time beyond the vote baseline, at a conservative
-        // 100 Mbps WAN floor; propagation is already in `delay`.
-        (bytes.saturating_sub(VOTE_BYTES)) as f64 * 8.0 / 100e6
+    /// The classes of the nodes other than `origin`: per region, the
+    /// region's nodes less `origin` itself.
+    fn peers(&self, origin: usize) -> impl Iterator<Item = Class> + '_ {
+        let own = self.region[origin];
+        self.count
+            .iter()
+            .enumerate()
+            .map(move |(region, &count)| Class {
+                region,
+                mult: count - usize::from(region == own),
+            })
+            .filter(|peer| peer.mult > 0)
     }
 
-    /// The `k`-th smallest value of a slice (1-indexed); `k` is clamped
-    /// to the slice length.
-    fn kth_smallest(mut values: Vec<f64>, k: usize) -> f64 {
-        assert!(!values.is_empty(), "kth_smallest needs values");
-        let k = k.clamp(1, values.len());
-        values.sort_by(|a, b| a.partial_cmp(b).expect("delays are not NaN"));
-        values[k - 1]
+    /// One-way delays from `origin` to every other node.
+    fn delays_from(&self, origin: usize) -> Multiset {
+        let own = self.region[origin];
+        let mut delays = Multiset::new();
+        for peer in self.peers(origin) {
+            delays.add(self.delay[own][peer.region], peer.mult);
+        }
+        delays
     }
 
     /// Time for a leader broadcast of `bytes` to reach all nodes.
     pub fn broadcast_all(&self, leader: usize, bytes: u64) -> SimDuration {
-        let worst = (0..self.n)
-            .map(|i| {
-                if i == leader {
-                    0.0
-                } else {
-                    self.delay[leader][i] + self.payload_extra(leader, i, bytes)
-                }
-            })
+        let extra = payload_extra(bytes);
+        let own = self.region[leader];
+        let worst = self
+            .peers(leader)
+            .map(|peer| self.delay[own][peer.region] + extra)
             .fold(0.0, f64::max);
         diablo_telemetry::counter!(
             "net.bytes.proposals",
-            bytes * self.n.saturating_sub(1) as u64
+            bytes * self.node_count().saturating_sub(1) as u64
         );
         SimDuration::from_secs_f64(worst)
     }
 
     /// Time for a leader broadcast of `bytes` to reach a quorum of nodes.
     pub fn broadcast_quorum(&self, leader: usize, bytes: u64) -> SimDuration {
-        let arrivals: Vec<f64> = (0..self.n)
-            .map(|i| {
-                if i == leader {
-                    0.0
-                } else {
-                    self.delay[leader][i] + self.payload_extra(leader, i, bytes)
-                }
-            })
-            .collect();
+        let extra = payload_extra(bytes);
+        let own = self.region[leader];
+        let mut arrivals = Multiset::new();
+        arrivals.add(0.0, 1);
+        for peer in self.peers(leader) {
+            arrivals.add(self.delay[own][peer.region] + extra, peer.mult);
+        }
         diablo_telemetry::counter!(
             "net.bytes.proposals",
-            bytes * self.n.saturating_sub(1) as u64
+            bytes * self.node_count().saturating_sub(1) as u64
         );
-        SimDuration::from_secs_f64(Self::kth_smallest(arrivals, self.quorum))
+        SimDuration::from_secs_f64(arrivals.kth_smallest(self.quorum))
     }
 
     /// One linear (HotStuff-style) phase: leader sends `bytes`, nodes
     /// reply with votes, phase ends when the leader holds a quorum.
     pub fn linear_phase(&self, leader: usize, bytes: u64) -> SimDuration {
-        let round_trips: Vec<f64> = (0..self.n)
-            .map(|i| {
-                if i == leader {
-                    0.0
-                } else {
-                    self.delay[leader][i]
-                        + self.payload_extra(leader, i, bytes)
-                        + self.delay[i][leader]
-                }
-            })
-            .collect();
-        let peers = self.n.saturating_sub(1) as u64;
+        let extra = payload_extra(bytes);
+        let own = self.region[leader];
+        let mut round_trips = Multiset::new();
+        round_trips.add(0.0, 1);
+        for peer in self.peers(leader) {
+            let r = peer.region;
+            round_trips.add(self.delay[own][r] + extra + self.delay[r][own], peer.mult);
+        }
+        let peers = self.node_count().saturating_sub(1) as u64;
         diablo_telemetry::counter!("net.bytes.proposals", bytes * peers);
         diablo_telemetry::counter!("net.bytes.votes", VOTE_BYTES * peers);
-        let phase = SimDuration::from_secs_f64(Self::kth_smallest(round_trips, self.quorum));
+        let phase = SimDuration::from_secs_f64(round_trips.kth_smallest(self.quorum));
         diablo_telemetry::record_duration!("net.phase.linear_us", phase);
         phase
     }
@@ -173,44 +288,57 @@ impl QuorumModel {
     /// commit). Completion is measured at the leader (the node the
     /// collocated Diablo Secondary polls).
     pub fn ibft_commit(&self, leader: usize, bytes: u64) -> SimDuration {
-        // Pre-prepare arrival times.
-        let arrive: Vec<f64> = (0..self.n)
-            .map(|i| {
-                if i == leader {
-                    0.0
-                } else {
-                    self.delay[leader][i] + self.payload_extra(leader, i, bytes)
-                }
-            })
-            .collect();
-        // Prepare: node j broadcasts at arrive[j]; node i is "prepared"
-        // once it holds a quorum of prepares.
-        let prepared = self.all_to_all_round(&arrive);
-        // Commit: node j broadcasts commit at prepared[j]; the block is
-        // committed at node i once it holds a quorum of commits.
-        let committed = self.all_to_all_round(&prepared);
-        let n = self.n as u64;
+        let extra = payload_extra(bytes);
+        let own = self.region[leader];
+        // The leader's class first, then its peers, with their
+        // pre-prepare arrival times.
+        let mut classes = Stack::<Class, MAX_CLASSES>::new();
+        let mut arrive = [0.0; MAX_CLASSES];
+        classes.push(Class {
+            region: own,
+            mult: 1,
+        });
+        for peer in self.peers(leader) {
+            arrive[classes.len] = self.delay[own][peer.region] + extra;
+            classes.push(peer);
+        }
+        let classes = classes.as_slice();
+        // Prepare: the nodes of class c broadcast at arrive[c]; a node is
+        // "prepared" once it holds a quorum of prepares.
+        let mut prepared = [0.0; MAX_CLASSES];
+        for (c, slot) in prepared[..classes.len()].iter_mut().enumerate() {
+            *slot = self.all_to_all_round(classes, &arrive, c);
+        }
+        // Commit: the nodes of class c broadcast commit at prepared[c];
+        // the block is committed at the leader once it holds a quorum of
+        // commits.
+        let committed = self.all_to_all_round(classes, &prepared, 0);
+        let n = self.node_count() as u64;
         diablo_telemetry::counter!("net.bytes.proposals", bytes * n.saturating_sub(1));
         // Two all-to-all vote rounds: every node broadcasts to every
         // other node in each.
-        diablo_telemetry::counter!(
-            "net.bytes.votes",
-            2 * VOTE_BYTES * n * n.saturating_sub(1)
-        );
-        let d = SimDuration::from_secs_f64(committed[leader]);
+        diablo_telemetry::counter!("net.bytes.votes", 2 * VOTE_BYTES * n * n.saturating_sub(1));
+        let d = SimDuration::from_secs_f64(committed);
         diablo_telemetry::record_duration!("net.phase.ibft_commit_us", d);
         d
     }
 
-    /// One all-to-all round: every node `j` broadcasts at `start[j]`;
-    /// returns for each node `i` the time it holds a quorum of messages.
-    fn all_to_all_round(&self, start: &[f64]) -> Vec<f64> {
-        (0..self.n)
-            .map(|i| {
-                let arrivals: Vec<f64> = (0..self.n).map(|j| start[j] + self.delay[j][i]).collect();
-                Self::kth_smallest(arrivals, self.quorum)
-            })
-            .collect()
+    /// One all-to-all round: every node of class `c` broadcasts at
+    /// `start[c]`; returns the time a node of class `to` holds a quorum
+    /// of messages. Its own message arrives at once; only the other
+    /// members of its class pay the intra-region delay.
+    fn all_to_all_round(&self, classes: &[Class], start: &[f64], to: usize) -> f64 {
+        let dst = classes[to].region;
+        let mut arrivals = Multiset::new();
+        for (c, class) in classes.iter().enumerate() {
+            if c == to {
+                arrivals.add(start[c] + 0.0, 1);
+                arrivals.add(start[c] + self.delay[dst][dst], class.mult - 1);
+            } else {
+                arrivals.add(start[c] + self.delay[class.region][dst], class.mult);
+            }
+        }
+        arrivals.kth_smallest(self.quorum)
     }
 
     /// Gossip diffusion time from `origin` to (almost) all nodes over a
@@ -218,24 +346,18 @@ impl QuorumModel {
     /// where a hop costs the `p75` one-way delay from the origin's view
     /// of the network plus per-hop payload serialization.
     pub fn gossip_all(&self, origin: usize, fanout: usize, bytes: u64) -> SimDuration {
-        if self.n <= 1 {
+        let n = self.node_count();
+        if n <= 1 {
             return SimDuration::ZERO;
         }
         let fanout = fanout.max(2) as f64;
-        let hops = (self.n as f64).ln() / fanout.ln();
+        let hops = (n as f64).ln() / fanout.ln();
         let hops = hops.ceil().max(1.0);
-        let mut delays: Vec<f64> = (0..self.n)
-            .filter(|&i| i != origin)
-            .map(|i| self.delay[origin][i])
-            .collect();
-        delays.sort_by(|a, b| a.partial_cmp(b).expect("delays are not NaN"));
-        let p75 = delays[(delays.len() * 3) / 4];
-        let per_hop = p75 + self.payload_extra(origin, origin, bytes);
+        let others = n - 1;
+        let p75 = self.delays_from(origin).kth_smallest(others * 3 / 4 + 1);
+        let per_hop = p75 + payload_extra(bytes);
         // Diffusion delivers the payload to every other node once.
-        diablo_telemetry::counter!(
-            "net.bytes.gossip",
-            bytes * self.n.saturating_sub(1) as u64
-        );
+        diablo_telemetry::counter!("net.bytes.gossip", bytes * others as u64);
         let d = SimDuration::from_secs_f64(hops * per_hop);
         diablo_telemetry::record_duration!("net.phase.gossip_us", d);
         d
@@ -243,15 +365,11 @@ impl QuorumModel {
 
     /// Median one-way vote delay from a node's point of view, in seconds.
     pub fn median_delay_from(&self, origin: usize) -> f64 {
-        let mut delays: Vec<f64> = (0..self.n)
-            .filter(|&i| i != origin)
-            .map(|i| self.delay[origin][i])
-            .collect();
-        if delays.is_empty() {
+        let n = self.node_count();
+        if n <= 1 {
             return 0.0;
         }
-        delays.sort_by(|a, b| a.partial_cmp(b).expect("delays are not NaN"));
-        delays[delays.len() / 2]
+        self.delays_from(origin).kth_smallest((n - 1) / 2 + 1)
     }
 }
 
@@ -339,15 +457,48 @@ mod tests {
         let m = local(1);
         assert_eq!(m.broadcast_all(0, 1024), SimDuration::ZERO);
         assert_eq!(m.gossip_all(0, 8, 1024), SimDuration::ZERO);
+        assert_eq!(m.ibft_commit(0, 1024), SimDuration::ZERO);
+        assert_eq!(m.median_delay_from(0), 0.0);
     }
 
     #[test]
-    fn kth_smallest_selects_correctly() {
-        let v = vec![5.0, 1.0, 3.0];
-        assert_eq!(QuorumModel::kth_smallest(v.clone(), 1), 1.0);
-        assert_eq!(QuorumModel::kth_smallest(v.clone(), 2), 3.0);
-        assert_eq!(QuorumModel::kth_smallest(v.clone(), 3), 5.0);
-        // Clamped above.
-        assert_eq!(QuorumModel::kth_smallest(v, 10), 5.0);
+    fn peers_group_nodes_by_region() {
+        // 200 nodes over 10 regions, seen from node 42 (Mumbai): 19
+        // region-mates and 20 in each of the other nine regions.
+        let mults: Vec<usize> = geo(200).peers(42).map(|c| c.mult).collect();
+        assert_eq!(mults, [20, 20, 19, 20, 20, 20, 20, 20, 20, 20]);
+        // A region holding only the origin yields no peer class: of 11
+        // nodes, Cape Town holds two and Tokyo only node 1.
+        let m = geo(11);
+        let lone: Vec<(usize, usize)> = m.peers(1).map(|c| (c.region, c.mult)).collect();
+        assert_eq!(lone.len(), Region::COUNT - 1);
+        assert_eq!(lone[0], (0, 2));
+        assert!(lone.iter().all(|&(region, _)| region != 1));
+    }
+
+    #[test]
+    fn weighted_kth_smallest_counts_multiplicities() {
+        let pairs = [(5.0, 2), (1.0, 1), (3.0, 3)];
+        // The multiset is {1, 3, 3, 3, 5, 5}.
+        let kth = |k| kth_smallest(&mut pairs.clone(), k);
+        assert_eq!(kth(1), 1.0);
+        assert_eq!(kth(2), 3.0);
+        assert_eq!(kth(4), 3.0);
+        assert_eq!(kth(5), 5.0);
+        assert_eq!(kth(6), 5.0);
+        // Clamped at both ends.
+        assert_eq!(kth(0), 1.0);
+        assert_eq!(kth(100), 5.0);
+        // Ties across pairs and zero multiplicities.
+        let mut ties = [(2.0, 1), (7.0, 0), (2.0, 2), (4.0, 1)];
+        assert_eq!(kth_smallest(&mut ties, 3), 2.0);
+        assert_eq!(kth_smallest(&mut ties, 4), 4.0);
+        assert_eq!(kth_smallest(&mut ties, 5), 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "kth_smallest needs values")]
+    fn weighted_kth_smallest_rejects_an_empty_multiset() {
+        kth_smallest(&mut [(1.0, 0)], 1);
     }
 }

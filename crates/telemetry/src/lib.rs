@@ -85,10 +85,18 @@ pub fn gauge(name: &'static str, v: i64) {
 /// Records one value into the named log-linear histogram.
 #[inline]
 pub fn record(name: &'static str, v: u64) {
+    record_n(name, v, 1);
+}
+
+/// Records `n` copies of one value into the named histogram, with the
+/// same snapshot as `n` separate [`record()`] calls. With `n == 0` it
+/// records nothing and creates no histogram entry.
+#[inline]
+pub fn record_n(name: &'static str, v: u64, n: u64) {
     #[cfg(not(diablo_telemetry_off))]
-    recorder::with_local(|data| data.histogram(name, v));
+    recorder::with_local(|data| data.histogram(name, v, n));
     #[cfg(diablo_telemetry_off)]
-    let _ = (name, v);
+    let _ = (name, v, n);
 }
 
 /// Records a [`diablo_sim::SimDuration`] into the named histogram, in
@@ -151,11 +159,15 @@ macro_rules! gauge {
     };
 }
 
-/// Records a `u64` into a histogram: `record!("name", value)`.
+/// Records a `u64` into a histogram: `record!("name", value)` records
+/// it once, `record!("name", value, n)` records it `n` times.
 #[macro_export]
 macro_rules! record {
     ($name:expr, $v:expr) => {
         $crate::record($name, $v)
+    };
+    ($name:expr, $v:expr, $n:expr) => {
+        $crate::record_n($name, $v, $n)
     };
 }
 
@@ -206,6 +218,24 @@ mod tests {
             let h = snap.histogram("test.lib.hist_a").unwrap();
             assert_eq!(h.count, 5);
             assert_eq!(h.max, 1000);
+        }
+    }
+
+    #[test]
+    fn record_n_matches_repeated_records() {
+        for (v, n) in [(7u64, 3u64), (525, 380), (92_160, 1), (u64::MAX, 2)] {
+            super::record!("test.lib.hist_n", v, n);
+            for _ in 0..n {
+                super::record!("test.lib.hist_each", v);
+            }
+        }
+        super::record!("test.lib.hist_zero", 42, 0);
+        let snap = super::snapshot();
+        assert!(snap.histogram("test.lib.hist_zero").is_none());
+        if super::enabled() {
+            let h = snap.histogram("test.lib.hist_n").unwrap();
+            assert_eq!(h.count, 386);
+            assert_eq!(Some(h), snap.histogram("test.lib.hist_each"));
         }
     }
 

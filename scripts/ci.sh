@@ -29,6 +29,20 @@ for seed in 0xd1ab70 0xb10c5 0x7; do
         cargo test -q --release --offline -p diablo-chains --test parallel_differential
 done
 
+# Class-based quorum model: replay the random uneven-mix case of the
+# differential test (QuorumModel vs the per-node O(n² log n) oracle,
+# bit for bit) under pinned seeds; the deterministic sweeps in the same
+# file run in full each time. 0x7 pins a leader alone in its region
+# with 3 MB proposals, 0xb10c5 node ids interleaved across recurring
+# regions, 0x9e0 a two-region mix with a lone leader and empty
+# proposals.
+echo "==> quorum-model differential replays (pinned seeds)"
+for seed in 0x7 0xb10c5 0x9e0; do
+    echo "    DIABLO_PROP_SEED=$seed"
+    DIABLO_PROP_SEED="$seed" \
+        cargo test -q --release --offline -p diablo-net --test quorum_differential
+done
+
 # Parallel end-to-end smoke: a pinned-seed exact-mode chaos run through
 # the static parallel executor must be byte-identical across worker
 # counts — results and telemetry counters both (docs/EXECUTION.md §5).
@@ -205,6 +219,30 @@ cmp "$sim_json" results/golden_sim_exchange.json || {
     exit 1
 }
 rm -f "$sim_json"
+
+# Geo goldens: the sim golden above runs on one region, so it never
+# reaches the geo-distributed path of the consensus latency model. Two
+# pinned-seed runs do: Quorum on the 200-node, 10-region consortium
+# deployment, and RedBelly on the uneven 4/3/3 region mix of
+# workloads/setup-custom.yaml. Both must match their golden files byte
+# for byte, link-delay histogram included.
+echo "==> geo goldens (consortium and custom-mix runs vs results/golden_sim_*.json)"
+geo_json="$(mktemp /tmp/diablo-geo-golden.XXXXXX.json)"
+cargo run -q --release --offline --bin diablo -- run --chain=quorum \
+    --deployment=consortium --seed=11 --output="$geo_json" \
+    workloads/native-10.yaml >/dev/null
+cmp "$geo_json" results/golden_sim_consortium.json || {
+    echo "geo golden: consortium run drifted from results/golden_sim_consortium.json" >&2
+    exit 1
+}
+cargo run -q --release --offline --bin diablo -- run \
+    --setup=workloads/setup-custom.yaml --seed=11 --output="$geo_json" \
+    workloads/native-10.yaml >/dev/null
+cmp "$geo_json" results/golden_sim_custom.json || {
+    echo "geo golden: custom-mix run drifted from results/golden_sim_custom.json" >&2
+    exit 1
+}
+rm -f "$geo_json"
 
 # Disabled-build check: with telemetry compiled out, the no-op macros
 # (and the per-transaction tracer) must still type-check everywhere and
