@@ -55,6 +55,6 @@ pub use live::LivePool;
 pub use mempool::{AdmitError, Mempool, MempoolPolicy};
 pub use diablo_store::{PruneMode, StorageConfig, StorageReport};
 pub use params::{ChainParams, ConsensusKind, SigVerify};
-pub use records::{rate_per_sec, RunResult, TxRecord, TxStatus};
+pub use records::{rate_per_sec, RunResult, RunStats, TxRecord, TxStatus};
 pub use sim::{ChainSim, Experiment};
 pub use tx::{Payload, TxId, TxMeta};

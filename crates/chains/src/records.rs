@@ -5,7 +5,7 @@
 //! throughput, average latency, commit ratio, latency CDFs — is computed
 //! from these records post-mortem.
 
-use diablo_sim::{Cdf, SimTime, TimeSeries};
+use diablo_sim::{Cdf, SimDuration, SimTime, TimeSeries};
 use diablo_store::StorageReport;
 
 use crate::chain::Chain;
@@ -100,6 +100,27 @@ pub struct RunResult {
     /// Per-transaction lifecycle traces; `None` when tracing was off
     /// (the default), keeping reports byte-identical to untraced runs.
     pub trace: Option<diablo_telemetry::trace::TraceSet>,
+}
+
+/// The `stats` block of a results file: every aggregate
+/// [`RunResult::stats`] computes in one pass over the records. Each
+/// field is bit-identical to the per-metric method of the same name.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunStats {
+    /// [`RunResult::submitted`].
+    pub submitted: u64,
+    /// [`RunResult::committed`].
+    pub committed: u64,
+    /// [`RunResult::commit_ratio`].
+    pub commit_ratio: f64,
+    /// [`RunResult::avg_throughput`].
+    pub avg_throughput: f64,
+    /// [`RunResult::avg_latency_secs`].
+    pub avg_latency_secs: f64,
+    /// [`RunResult::median_latency_secs`].
+    pub median_latency_secs: f64,
+    /// [`RunResult::max_latency_secs`].
+    pub max_latency_secs: f64,
 }
 
 /// Events-per-second over a window, `0.0` for an empty or degenerate
@@ -214,6 +235,73 @@ impl RunResult {
             .fold(0.0, f64::max)
     }
 
+    /// Every aggregate of the results file's `stats` block from a single
+    /// scan of the records, bit-identical to the per-metric methods:
+    ///
+    /// - the latency sum runs in record order, as
+    ///   [`RunResult::avg_latency_secs`]'s does (starting at `0.0`
+    ///   rather than `Iterator::sum`'s `-0.0` changes nothing, since
+    ///   latencies are never negative);
+    /// - maximum and median are taken over the integer µs latencies and
+    ///   converted once: µs → seconds is monotone, so the order
+    ///   statistic of the converted values is the converted order
+    ///   statistic;
+    /// - the median is the nearest-rank one of [`Cdf::quantile`] (same
+    ///   `ceil(0.5·n) − 1` index), found by selection instead of a full
+    ///   sort.
+    pub fn stats(&self) -> RunStats {
+        let window = if self.workload_secs <= 0.0 {
+            None
+        } else {
+            Some(SimTime::from_secs_f64_ceil(self.workload_secs))
+        };
+        let (mut committed, mut in_window, mut sum) = (0u64, 0u64, 0.0f64);
+        let mut latencies_us: Vec<u64> = Vec::new();
+        for r in &self.records {
+            if r.status != TxStatus::Committed {
+                continue;
+            }
+            committed += 1;
+            let Some(decided) = r.decided else { continue };
+            if window.is_some_and(|w| decided <= w) {
+                in_window += 1;
+            }
+            let latency = decided.since(r.submitted);
+            sum += latency.as_secs_f64();
+            latencies_us.push(latency.0);
+        }
+        let submitted = self.submitted();
+        let n = latencies_us.len();
+        let (avg, median, max) = if n == 0 {
+            (0.0, 0.0, 0.0)
+        } else {
+            let max = latencies_us.iter().copied().max().expect("n > 0");
+            let idx = ((0.5 * n as f64).ceil() as usize).clamp(1, n) - 1;
+            let (_, &mut median, _) = latencies_us.select_nth_unstable(idx);
+            (
+                sum / n as f64,
+                SimDuration(median).as_secs_f64(),
+                SimDuration(max).as_secs_f64(),
+            )
+        };
+        RunStats {
+            submitted,
+            committed,
+            commit_ratio: if submitted == 0 {
+                0.0
+            } else {
+                committed as f64 / submitted as f64
+            },
+            avg_throughput: match window {
+                Some(_) => rate_per_sec(in_window, self.workload_secs),
+                None => 0.0,
+            },
+            avg_latency_secs: avg,
+            median_latency_secs: median,
+            max_latency_secs: max,
+        }
+    }
+
     /// The latency CDF of committed transactions (Figure 6).
     pub fn latency_cdf(&self) -> Cdf {
         Cdf::from_samples(
@@ -282,17 +370,18 @@ impl RunResult {
                 self.chain, self.workload
             );
         }
+        let stats = self.stats();
         format!(
             "{} / {}: {} sent, {} committed ({:.1}%), avg throughput {:.1} TPS, \
              avg latency {:.1}s, median latency {:.1}s",
             self.chain,
             self.workload,
-            self.submitted(),
-            self.committed(),
-            self.commit_ratio() * 100.0,
-            self.avg_throughput(),
-            self.avg_latency_secs(),
-            self.median_latency_secs(),
+            stats.submitted,
+            stats.committed,
+            stats.commit_ratio * 100.0,
+            stats.avg_throughput,
+            stats.avg_latency_secs,
+            stats.median_latency_secs,
         )
     }
 }
@@ -300,7 +389,6 @@ impl RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diablo_sim::SimDuration;
 
     fn committed(at_secs: u64, latency_secs: u64) -> TxRecord {
         let submitted = SimTime::from_secs(at_secs);

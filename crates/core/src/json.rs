@@ -77,11 +77,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so an unbounded depth would let a
+/// hostile file (say, 200,000 `[` characters) overflow the stack and
+/// abort the process; result files nest four levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing content"));
@@ -111,11 +117,16 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value at nesting `depth` (the number of arrays and
+/// objects enclosing it).
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -219,7 +230,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -228,7 +239,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -241,7 +252,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -254,7 +265,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -334,6 +345,20 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("1 2").unwrap_err().message.contains("trailing"));
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH, "{e}");
+        assert!(e.message.contains("nesting"), "{e}");
+        let mixed = "{\"a\":".repeat(MAX_DEPTH) + "[1]" + &"}".repeat(MAX_DEPTH);
+        assert_eq!(parse(&mixed).unwrap_err().offset, MAX_DEPTH * 5);
+        // Far past the limit: an error, not a stack overflow.
+        let deep = "[".repeat(200_000);
+        assert_eq!(parse(&deep).unwrap_err().offset, MAX_DEPTH);
     }
 
     #[test]

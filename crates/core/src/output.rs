@@ -10,6 +10,7 @@
 //! dependency).
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 use diablo_chains::{RunResult, TxStatus};
 
@@ -45,12 +46,81 @@ pub fn status_name(status: TxStatus) -> &'static str {
     }
 }
 
+/// Timestamps below this many µs render through the integer digit
+/// writer of [`push_secs6`]; at or above it, through float formatting.
+///
+/// Below `2⁵²` µs the conversion `us as f64` is exact and `/ 1e6` is
+/// correctly rounded, so the double lies within half an ulp — at most
+/// `2⁻²¹ < 5·10⁻⁷` s — of the exact decimal `us / 10⁶`, which itself
+/// has six decimals. Rounding the double to six decimals therefore
+/// lands back on that decimal, and `{:.6}` prints exactly
+/// `us / 10⁶ "." us % 10⁶`.
+pub const SECS6_EXACT_BELOW: u64 = 1 << 52;
+
+/// Appends `us` microseconds as seconds with six decimals: the bytes of
+/// `format!("{:.6}", us as f64 / 1e6)`, written from the integer
+/// (see [`SECS6_EXACT_BELOW`] for why they agree).
+pub fn push_secs6(out: &mut Vec<u8>, us: u64) {
+    if us >= SECS6_EXACT_BELOW {
+        let _ = write!(out, "{:.6}", us as f64 / 1e6);
+        return;
+    }
+    // At most 10 integer digits below the bound, a point, 6 decimals;
+    // digits are written two at a time, right to left.
+    let mut buf = [b'0'; 17];
+    let mut frac = us % 1_000_000;
+    for i in [15, 13, 11] {
+        buf[i..i + 2].copy_from_slice(digit_pair(frac % 100));
+        frac /= 100;
+    }
+    buf[10] = b'.';
+    let mut secs = us / 1_000_000;
+    let mut i = 10;
+    while secs >= 100 {
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(digit_pair(secs % 100));
+        secs /= 100;
+    }
+    if secs >= 10 {
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(digit_pair(secs));
+    } else {
+        i -= 1;
+        buf[i] = b'0' + secs as u8;
+    }
+    out.extend_from_slice(&buf[i..]);
+}
+
+/// The two ASCII digits of `n < 100`.
+fn digit_pair(n: u64) -> &'static [u8] {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+    let n = n as usize * 2;
+    &PAIRS[n..n + 2]
+}
+
 /// Serializes a run to the Diablo results JSON.
 ///
 /// Schema: `{"chain", "workload", "duration", "stats": {...}, "txs":
 /// [[submit_secs, decide_secs | null, "status"], ...]}`.
 pub fn results_json(result: &RunResult) -> String {
-    let mut out = String::with_capacity(64 + result.records.len() * 32);
+    let mut out = open_results(result);
+    out.push('}');
+    out
+}
+
+/// Bytes reserved per `"txs"` row: a committed row with timestamps
+/// under 10⁴ s takes at most 38 (the benchmark's ibft-200 rows take
+/// 34), so the document is written without growing the buffer.
+const ROW_BYTES: usize = 40;
+
+/// The results document up to and including its `"txs"` array, left
+/// open for the optional top-level sections.
+fn open_results(result: &RunResult) -> String {
+    let mut out = String::with_capacity(1024 + result.records.len() * ROW_BYTES);
     out.push('{');
     let _ = write!(
         out,
@@ -62,18 +132,19 @@ pub fn results_json(result: &RunResult) -> String {
     if let Some(reason) = &result.unable_reason {
         let _ = write!(out, "\"unable\":\"{}\",", json_escape(reason));
     }
+    let stats = result.stats();
     let _ = write!(
         out,
         "\"stats\":{{\"sent\":{},\"committed\":{},\"commitRatio\":{:.6},\
          \"avgThroughput\":{:.3},\"avgLatency\":{:.3},\"medianLatency\":{:.3},\
          \"maxLatency\":{:.3}}},",
-        result.submitted(),
-        result.committed(),
-        result.commit_ratio(),
-        result.avg_throughput(),
-        result.avg_latency_secs(),
-        result.median_latency_secs(),
-        result.max_latency_secs()
+        stats.submitted,
+        stats.committed,
+        stats.commit_ratio,
+        stats.avg_throughput,
+        stats.avg_latency_secs,
+        stats.median_latency_secs,
+        stats.max_latency_secs
     );
     // The storage section exists only when the staged commit pipeline
     // ran: disabled runs serialize byte-identically to the pre-store
@@ -97,21 +168,33 @@ pub fn results_json(result: &RunResult) -> String {
         );
     }
     out.push_str("\"txs\":[");
+    // The rows are ASCII bytes, validated once as a whole rather than
+    // per timestamp.
+    let mut bytes = out.into_bytes();
     for (i, rec) in result.records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{:.6},", rec.submitted.as_secs_f64());
+        bytes.extend_from_slice(if i == 0 { b"[" } else { b",[" });
+        push_secs6(&mut bytes, rec.submitted.0);
         match rec.decided {
             Some(d) => {
-                let _ = write!(out, "{:.6},", d.as_secs_f64());
+                bytes.push(b',');
+                push_secs6(&mut bytes, d.0);
+                bytes.extend_from_slice(b",\"");
             }
-            None => out.push_str("null,"),
+            None => bytes.extend_from_slice(b",null,\""),
         }
-        let _ = write!(out, "\"{}\"]", status_name(rec.status));
+        bytes.extend_from_slice(status_name(rec.status).as_bytes());
+        bytes.extend_from_slice(b"\"]");
     }
-    out.push_str("]}");
-    out
+    bytes.push(b']');
+    String::from_utf8(bytes).expect("the results writer emits UTF-8")
+}
+
+/// Appends the `"telemetry"` section, unless the snapshot is empty.
+fn push_telemetry(out: &mut String, telemetry: &diablo_telemetry::TelemetrySnapshot) {
+    if !telemetry.is_empty() {
+        out.push_str(",\"telemetry\":");
+        out.push_str(&telemetry.to_json());
+    }
 }
 
 /// Serializes a run plus its merged telemetry snapshot: the standard
@@ -123,14 +206,8 @@ pub fn results_json_with_telemetry(
     result: &RunResult,
     telemetry: &diablo_telemetry::TelemetrySnapshot,
 ) -> String {
-    let mut out = results_json(result);
-    if telemetry.is_empty() {
-        return out;
-    }
-    let closed = out.pop();
-    debug_assert_eq!(closed, Some('}'));
-    out.push_str(",\"telemetry\":");
-    out.push_str(&telemetry.to_json());
+    let mut out = open_results(result);
+    push_telemetry(&mut out, telemetry);
     out.push('}');
     out
 }
@@ -143,40 +220,39 @@ pub fn results_json_with_telemetry(
 /// byte-identically to [`results_json_with_telemetry`], so simulated
 /// runs keep their pinned-seed golden outputs.
 pub fn results_json_report(report: &crate::Report) -> String {
-    let mut out = results_json_with_telemetry(&report.result, &report.telemetry);
-    let Some(diff) = &report.live_diff else {
-        return out;
-    };
-    let closed = out.pop();
-    debug_assert_eq!(closed, Some('}'));
-    let _ = write!(
-        out,
-        ",\"liveDiff\":{{\"fidelity\":{:.6},\"lostSecondaries\":{},\
-         \"liveThroughput\":{:.3},\"simThroughput\":{:.3},\
-         \"liveLatency\":{:.3},\"simLatency\":{:.3},\"phases\":[",
-        diff.fidelity,
-        report.lost_secondaries.len(),
-        diff.live_throughput,
-        diff.sim_throughput,
-        diff.live_latency,
-        diff.sim_latency
-    );
-    for (i, p) in diff.phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let mut out = open_results(&report.result);
+    push_telemetry(&mut out, &report.telemetry);
+    if let Some(diff) = &report.live_diff {
         let _ = write!(
             out,
-            "{{\"phase\":\"{}\",\"metric\":\"{}\",\"liveP50\":{},\"simP50\":{},\
-             \"ratio\":{:.6}}}",
-            p.phase,
-            json_escape(&p.metric),
-            p.live_p50_us,
-            p.sim_p50_us,
-            p.ratio
+            ",\"liveDiff\":{{\"fidelity\":{:.6},\"lostSecondaries\":{},\
+             \"liveThroughput\":{:.3},\"simThroughput\":{:.3},\
+             \"liveLatency\":{:.3},\"simLatency\":{:.3},\"phases\":[",
+            diff.fidelity,
+            report.lost_secondaries.len(),
+            diff.live_throughput,
+            diff.sim_throughput,
+            diff.live_latency,
+            diff.sim_latency
         );
+        for (i, p) in diff.phases.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"phase\":\"{}\",\"metric\":\"{}\",\"liveP50\":{},\"simP50\":{},\
+                 \"ratio\":{:.6}}}",
+                p.phase,
+                json_escape(&p.metric),
+                p.live_p50_us,
+                p.sim_p50_us,
+                p.ratio
+            );
+        }
+        out.push_str("]}");
     }
-    out.push_str("]}}");
+    out.push('}');
     out
 }
 
@@ -185,6 +261,12 @@ pub fn results_json_report(report: &crate::Report) -> String {
 /// latency (seconds; empty when not committed), ordered by submission —
 /// "the latencies are expressed in seconds and follow the transaction
 /// submission times" (appendix A.3).
+///
+/// Unlike [`results_json`], this keeps float formatting: `{:.2}` can
+/// cut a µs timestamp exactly at a 5 ms tie, and which way the tie
+/// rounds depends on which side of it the nearest double falls —
+/// 0.005 s prints `0.01`, 0.015 s also `0.01`, 0.125 s `0.12` — so no
+/// integer rounding rule reproduces the same bytes.
 pub fn results_csv(result: &RunResult) -> String {
     let mut out = String::from("submit,latency,status\n");
     for rec in &result.records {
@@ -262,6 +344,17 @@ mod tests {
         assert_eq!(lines.next(), Some("submit,latency,status"));
         assert_eq!(lines.next(), Some("0.10,0.53,committed"));
         assert_eq!(lines.next(), Some("1.00,,pending"));
+    }
+
+    #[test]
+    fn csv_ties_round_like_the_doubles() {
+        let mut run = sample();
+        run.records = [5_000, 15_000, 125_000]
+            .map(|us| TxRecord::submitted_at(SimTime(us)))
+            .to_vec();
+        let csv = results_csv(&run);
+        let submits: Vec<&str> = csv.lines().skip(1).map(|l| &l[..4]).collect();
+        assert_eq!(submits, ["0.01", "0.01", "0.12"]);
     }
 
     #[test]
@@ -343,6 +436,11 @@ mod tests {
         ));
         report.lost_secondaries = vec![1];
         let json = results_json_report(&report);
+        let base = results_json_with_telemetry(&report.result, &report.telemetry);
+        assert!(
+            json.starts_with(&base[..base.len() - 1]) && json.ends_with("]}}"),
+            "the live diff extends the simulated document: {json}"
+        );
         assert!(json.contains("\"liveDiff\":{\"fidelity\":"), "{json}");
         assert!(json.contains("\"lostSecondaries\":1"), "{json}");
         let parsed = crate::json::parse(&json).expect("valid json");

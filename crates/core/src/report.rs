@@ -71,8 +71,8 @@ impl Report {
             );
         }
         let r = &self.result;
-        let sent = r.submitted();
-        let committed = r.committed();
+        let stats = r.stats();
+        let (sent, committed) = (stats.submitted, stats.committed);
         let dropped = r.count_status(TxStatus::DroppedPoolFull)
             + r.count_status(TxStatus::DroppedPerSender)
             + r.count_status(TxStatus::DroppedExpired);
@@ -99,9 +99,9 @@ impl Report {
             self.secondaries,
             self.clients,
             r.avg_load(),
-            r.avg_throughput(),
-            r.avg_latency_secs(),
-            r.median_latency_secs(),
+            stats.avg_throughput,
+            stats.avg_latency_secs,
+            stats.median_latency_secs,
             tail.p95(),
             tail.p99(),
         );

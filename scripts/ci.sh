@@ -244,6 +244,27 @@ cmp "$geo_json" results/golden_sim_custom.json || {
 }
 rm -f "$geo_json"
 
+# Pending golden: the goldens above commit every transaction. Ethereum
+# with a 1 s grace period leaves half of native-10's transactions
+# pending, so this run pins the `null` decision rows and the
+# non-committed status strings of the results JSON, and the CSV writer
+# (--csv) byte for byte.
+echo "==> pending golden (JSON and CSV vs results/golden_sim_pending.*)"
+pend_json="$(mktemp /tmp/diablo-pending.XXXXXX.json)"
+pend_csv="$(mktemp /tmp/diablo-pending.XXXXXX.csv)"
+cargo run -q --release --offline --bin diablo -- run --chain=ethereum \
+    --grace=1 --seed=11 --output="$pend_json" --csv="$pend_csv" \
+    workloads/native-10.yaml >/dev/null
+cmp "$pend_json" results/golden_sim_pending.json || {
+    echo "pending golden: results JSON drifted from results/golden_sim_pending.json" >&2
+    exit 1
+}
+cmp "$pend_csv" results/golden_sim_pending.csv || {
+    echo "pending golden: CSV drifted from results/golden_sim_pending.csv" >&2
+    exit 1
+}
+rm -f "$pend_json" "$pend_csv"
+
 # Disabled-build check: with telemetry compiled out, the no-op macros
 # (and the per-transaction tracer) must still type-check everywhere and
 # tier-1 must pass. A separate target dir keeps the two configurations'

@@ -1,8 +1,9 @@
 //! The `diablo` binary driven as a real process: live mode over actual
-//! sockets, and the Secondary's connect-failure contract — transient
+//! sockets, the Secondary's connect-failure contract — transient
 //! refusals are retried per `--retry` and exit with the generic failure
 //! code, while a non-transient bad address fails fast with its own
-//! documented exit code.
+//! documented exit code — and the diff tools' handling of hostile input
+//! files.
 
 use std::net::TcpListener;
 use std::process::Command;
@@ -72,6 +73,22 @@ fn unknown_flags_are_a_usage_error() {
     assert_eq!(out.status.code(), Some(EXIT_FAILURE));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--no-such-flag"), "stderr: {stderr}");
+}
+
+#[test]
+fn deeply_nested_input_is_a_json_error_for_every_diff_tool() {
+    // 200,000 unclosed `[` used to overflow the reader's stack and abort
+    // the process (exit 134) instead of failing with a parse error.
+    let path = std::env::temp_dir().join(format!("diablo-deep-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(200_000)).expect("write deep file");
+    let deep = path.to_str().expect("utf-8 temp path");
+    for tool in ["compare", "trace-diff", "live-diff"] {
+        let out = diablo(&[tool, deep, deep]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(EXIT_FAILURE), "{tool}: {stderr}");
+        assert!(stderr.contains("json error at byte"), "{tool}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
